@@ -6,11 +6,19 @@ the number of CUDA streams and the chunk size — which matter whenever the
 tensor is (or is forced) out-of-core, and the multi-GPU sharded path adds a
 device-count axis.  The sweep covers the full cross product; the classic
 two-parameter surface is the minimum over the streaming and device axes.
+
+Every cell is priced by the kernels' own plan functions
+(:func:`~repro.kernels.unified.spttm.plan_spttm` and friends), which read
+only the F-COO encoding's index structure: the sweep runs no value
+arithmetic, yet each cell's time is bit-identical to the
+``estimated_time_s`` the kernel reports when it runs at that
+configuration.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -21,14 +29,13 @@ from repro.formats.mode_encoding import OperationKind
 from repro.gpusim.cluster import ClusterSpec, InterconnectSpec, PCIE3_P2P
 from repro.gpusim.device import DeviceSpec, TITAN_X
 from repro.gpusim.timing import OutOfDeviceMemory
-from repro.kernels.unified.spmttkrp import unified_spmttkrp
-from repro.kernels.unified.spttm import unified_spttm
-from repro.kernels.unified.spttmc import unified_spttmc
-from repro.tensor.random import random_factors
+from repro.kernels.unified.plan import encode_for
+from repro.kernels.unified.spmttkrp import plan_spmttkrp
+from repro.kernels.unified.spttm import plan_spttm
+from repro.kernels.unified.spttmc import plan_spttmc
 from repro.tensor.sparse import SparseTensor
 from repro.util.formatting import format_table
-from repro.util.rng import SeedLike
-from repro.util.validation import check_mode, check_rank
+from repro.util.validation import check_rank
 
 __all__ = [
     "TuningResult",
@@ -162,7 +169,7 @@ class TuningResult:
 
 
 def tune_unified(
-    tensor: SparseTensor,
+    tensor: Union[SparseTensor, FCOOTensor],
     operation: Union[OperationKind, str],
     mode: int,
     *,
@@ -175,26 +182,28 @@ def tune_unified(
     device_counts: Sequence[int] = DEFAULT_DEVICE_COUNTS,
     interconnect: InterconnectSpec = PCIE3_P2P,
     streamed: Optional[bool] = None,
-    seed: SeedLike = 0,
 ) -> TuningResult:
     """Sweep the unified-kernel tuning parameters on one tensor.
 
-    Covers all three unified kernels (SpTTM, SpMTTKRP, SpTTMc).  The F-COO
-    encoding is reused across the sweep (it does not depend on the launch
-    parameters) so the sweep cost is dominated by the kernel model itself.
+    Covers all three unified kernels (SpTTM, SpMTTKRP, SpTTMc).  ``tensor``
+    is a :class:`SparseTensor` (encoded once) or, as for the kernels, an
+    :class:`FCOOTensor` already encoded for ``operation`` on ``mode``.
+    The encoding is reused across the sweep (it does not depend on the
+    launch parameters), and each cell is priced by the kernel's plan
+    function without numerics, at rank-``rank`` factors on every product
+    mode.
 
     ``num_streams`` / ``chunk_sizes`` extend the sweep with the streamed
     execution axes; they only influence the result when the kernel actually
     streams (``streamed=True``, or auto-fallback on an over-capacity
     tensor).  ``device_counts`` extends it with the multi-GPU axis: a count
     above one shards the kernel across a homogeneous cluster of ``device``
-    joined by ``interconnect``.  ``streamed`` is forwarded to the kernels
-    unchanged.  A configuration that does not fit on the device (its chunk
+    joined by ``interconnect``.  ``streamed`` is forwarded to the plan
+    functions unchanged.  A configuration that does not fit on the device (its chunk
     buffers exceed capacity) is recorded as ``inf`` rather than aborting
     the sweep.
     """
     operation = OperationKind.coerce(operation)
-    mode = check_mode(mode, tensor.order)
     rank = check_rank(rank)
     if not num_streams:
         raise ValueError("num_streams must contain at least one entry")
@@ -202,8 +211,14 @@ def tune_unified(
         raise ValueError("chunk_sizes must contain at least one entry")
     if not device_counts:
         raise ValueError("device_counts must contain at least one entry")
-    factors = random_factors(tensor.shape, rank, seed=seed)
-    fcoo = FCOOTensor.from_sparse(tensor, operation, mode)
+    fcoo = encode_for(tensor, operation, mode)
+    mode = fcoo.mode
+    if operation is OperationKind.SPTTMC:
+        plan = partial(plan_spttmc, fcoo, (rank,) * len(fcoo.roles.product_modes))
+    elif operation is OperationKind.SPTTM:
+        plan = partial(plan_spttm, fcoo, rank)
+    else:
+        plan = partial(plan_spmttkrp, fcoo, rank)
 
     clusters = {
         int(d): (
@@ -224,8 +239,8 @@ def tune_unified(
         dtype=np.float64,
     )
 
-    def run_cell(block_size, threadlen, n_streams, chunk_nnz, n_devices):
-        kwargs = dict(
+    def price(block_size, threadlen, n_streams, chunk_nnz, n_devices):
+        return plan(
             device=device,
             block_size=int(block_size),
             threadlen=int(threadlen),
@@ -236,19 +251,14 @@ def tune_unified(
                 cluster=clusters[int(n_devices)],
             ),
         )
-        if operation is OperationKind.SPTTM:
-            return unified_spttm(fcoo, factors[mode], mode, **kwargs)
-        if operation is OperationKind.SPMTTKRP:
-            return unified_spmttkrp(fcoo, factors, mode, **kwargs)
-        return unified_spttmc(fcoo, factors, mode, **kwargs)
 
-    def streaming_axes_matter(result) -> bool:
+    def streaming_axes_matter(profile) -> bool:
         """Whether num_streams / chunk_nnz can influence this cell's time."""
         if streamed is True:
             return True
-        if result.profile.streaming is not None:
+        if profile.streaming is not None:
             return True
-        execution = getattr(result.profile, "sharded", None)
+        execution = getattr(profile, "sharded", None)
         return execution is not None and execution.has_streaming_shards
 
     for i, block_size in enumerate(block_sizes):
@@ -256,7 +266,7 @@ def tune_unified(
             for d, n_devices in enumerate(device_counts):
                 first = None
                 try:
-                    first = run_cell(
+                    first = price(
                         block_size, threadlen, num_streams[0], chunk_sizes[0], n_devices
                     )
                     times[i, j, 0, 0, d] = first.estimated_time_s
@@ -267,7 +277,7 @@ def tune_unified(
                 if first is not None and not streaming_axes_matter(first):
                     # The kernel never streamed, so the streaming axes
                     # cannot change the outcome — broadcast instead of
-                    # re-running the full kernel numerics per cell.
+                    # re-pricing every streaming cell.
                     times[i, j, :, :, d] = first.estimated_time_s
                     continue
                 for s, n_streams in enumerate(num_streams):
@@ -275,7 +285,7 @@ def tune_unified(
                         if (s, c) == (0, 0):
                             continue
                         try:
-                            times[i, j, s, c, d] = run_cell(
+                            times[i, j, s, c, d] = price(
                                 block_size, threadlen, n_streams, chunk_nnz, n_devices
                             ).estimated_time_s
                         except OutOfDeviceMemory:

@@ -44,7 +44,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro._version import __version__
 from repro.bench.multinode import run_multinode_scaling
 from repro.bench.scaling import run_scaling, run_weak_scaling
-from repro.bench.serving import DEFAULT_CROSS_NODE_EVERY, run_serving
+from repro.bench.serving import (
+    DEFAULT_CROSS_NODE_EVERY,
+    plan_execute_mismatches,
+    run_serving,
+)
 from repro.bench.streaming import run_streaming
 from repro.gpusim.timeline import Timeline
 from repro.serve.autoscale import AutoscalerSpec
@@ -157,6 +161,9 @@ def _serving_metrics() -> Dict[str, float]:
     fails, no ratio tolerance): wrongly refusing traffic makes every
     latency metric look better — the rejected jobs leave the population —
     so the rejection count itself must not grow.
+    ``serve/plan_execute_mismatch_count`` (zero tolerance) counts serving
+    tuner cells whose cost-only price differs from the kernel's executed
+    time (:func:`~repro.bench.serving.plan_execute_mismatches`).
     """
     report = run_serving(num_jobs=40, seed=0)
     completed = max(len(report.completed), 1)
@@ -167,6 +174,7 @@ def _serving_metrics() -> Dict[str, float]:
         "serve/seconds_per_job": report.makespan_s / completed,
         "serve/mean_queue_wait": report.mean_queue_wait_s,
         "serve/rejected_jobs_count": float(len(report.rejected)),
+        "serve/plan_execute_mismatch_count": float(plan_execute_mismatches(num_jobs=40, seed=0)),
     }
 
 

@@ -15,19 +15,28 @@ from __future__ import annotations
 
 from typing import Optional
 
+import numpy as np
+
+from repro.autotune import tune_unified
+from repro.context import ExecContext
 from repro.gpusim.cluster import ClusterLike
+from repro.gpusim.timing import OutOfDeviceMemory
+from repro.kernels.unified import unified_spmttkrp, unified_spttm, unified_spttmc
 from repro.serve.autoscale import AutoscalerSpec
-from repro.serve.cache import PreprocCache
+from repro.serve.cache import SERVING_BLOCK_SIZES, SERVING_THREADLENS, PreprocCache
 from repro.serve.engine import ServingEngine, ServingReport
+from repro.serve.job import JobKind
+from repro.serve.scheduler import tuner_device
 from repro.serve.workload import (
     ChaosSpec,
     WorkloadSpec,
     default_multinode_serving_cluster,
+    default_serving_cluster,
     generate_chaos,
     generate_workload,
 )
 
-__all__ = ["run_serving", "DEFAULT_CROSS_NODE_EVERY"]
+__all__ = ["run_serving", "plan_execute_mismatches", "DEFAULT_CROSS_NODE_EVERY"]
 
 #: Cross-node tenant cadence of the multi-node serving mode: every n-th job
 #: submits the tensor that exceeds any single node's aggregate memory.
@@ -151,3 +160,54 @@ def run_serving(
             num_nodes=num_targets,
         )
     return engine.run(jobs, chaos=chaos)
+
+
+def plan_execute_mismatches(*, num_jobs: int = 40, seed: int = 0) -> int:
+    """Tuner cells whose plan-priced time differs from the executed time.
+
+    For every distinct kernel-job shape of the seeded workload — what the
+    serving tuner sweeps on the default node — the tuner's cost-only
+    surface over the serving axes is compared cell by cell with running
+    the job's own kernel, numerics included, at that cell's launch on the
+    tuner's device.  Both sides must report the same seconds bit for bit
+    (``inf`` on both for a launch that does not fit); the return value
+    counts the cells where they do not.
+    """
+    device = tuner_device(default_serving_cluster())
+    kernels = {
+        JobKind.SPTTM: lambda job, f, kw: unified_spttm(job.tensor, f[job.mode], job.mode, **kw),
+        JobKind.SPMTTKRP: lambda job, f, kw: unified_spmttkrp(job.tensor, f, job.mode, **kw),
+        JobKind.SPTTMC: lambda job, f, kw: unified_spttmc(job.tensor, f, job.mode, **kw),
+    }
+    mismatches = 0
+    seen = set()
+    for job in generate_workload(WorkloadSpec(num_jobs=num_jobs, seed=seed)):
+        if not job.kind.is_kernel or job.batch_key in seen:
+            continue
+        seen.add(job.batch_key)
+        planned = tune_unified(
+            job.tensor,
+            job.operation,
+            job.mode,
+            rank=job.rank,
+            device=device,
+            block_sizes=SERVING_BLOCK_SIZES,
+            threadlens=SERVING_THREADLENS,
+        ).times
+        factors = job.factors()
+        for i, block_size in enumerate(SERVING_BLOCK_SIZES):
+            for j, threadlen in enumerate(SERVING_THREADLENS):
+                launch = dict(
+                    device=device,
+                    block_size=block_size,
+                    threadlen=threadlen,
+                    ctx=ExecContext(),
+                )
+                try:
+                    executed = kernels[job.kind](job, factors, launch).estimated_time_s
+                except OutOfDeviceMemory:
+                    executed = np.inf
+                mismatches += int(
+                    np.float64(executed).tobytes() != np.float64(planned[i, j]).tobytes()
+                )
+    return mismatches

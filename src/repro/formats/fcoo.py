@@ -33,6 +33,7 @@ primary sort keys, so that every fiber/slice occupies one contiguous run —
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Tuple, Union
 
 import numpy as np
@@ -237,6 +238,17 @@ class FCOOTensor:
                 f"position must be in [0, {len(self.roles.product_modes)}), got {position}"
             )
         return self.product_indices[:, position]
+
+    @cached_property
+    def distinct_product_rows(self) -> Tuple[int, ...]:
+        """Distinct factor rows each product-mode index column addresses.
+
+        The read-only cache model charges one compulsory miss per distinct
+        row, and the ``np.unique`` behind the count is the expensive part of
+        pricing a launch.  The encoding is immutable, so the counts are
+        taken once and memoised on the instance.
+        """
+        return tuple(int(np.unique(column).size) for column in self.product_indices.T)
 
     def segment_sizes(self) -> np.ndarray:
         """Number of non-zeros per segment."""

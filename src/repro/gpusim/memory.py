@@ -142,7 +142,8 @@ class CacheTraffic:
 
 
 def readonly_cache_traffic(
-    row_indices: np.ndarray,
+    accesses: Union[int, float],
+    distinct_rows: Union[int, float],
     row_bytes: float,
     device: DeviceSpec,
     *,
@@ -150,8 +151,9 @@ def readonly_cache_traffic(
 ) -> CacheTraffic:
     """Model factor-matrix reads through the read-only data cache.
 
-    The kernel issues one row read per entry of ``row_indices`` (the
-    product-mode index stream).  The model charges:
+    The kernel issues ``accesses`` row reads (one per entry of the
+    product-mode index stream) touching ``distinct_rows`` different rows.
+    The model charges:
 
     * one compulsory miss per *distinct* row (its first touch), and
     * capacity misses for the remaining accesses with probability
@@ -162,15 +164,21 @@ def readonly_cache_traffic(
       first touch hits; working set ≫ cache: essentially every access goes
       to DRAM).
 
-    Misses transfer whole rows, rounded up to the transaction size.
+    Misses transfer whole rows, rounded up to the transaction size.  Only
+    the two counts matter, so callers price a stream without materialising
+    it (the unified kernels read the counts off their F-COO encoding).
     """
     if row_bytes <= 0:
         raise ValueError(f"row_bytes must be positive, got {row_bytes}")
-    row_indices = np.asarray(row_indices)
-    accesses = float(row_indices.size)
+    accesses = float(accesses)
+    distinct = float(distinct_rows)
+    if not 0.0 <= distinct <= accesses or (accesses > 0.0 and distinct == 0.0):
+        raise ValueError(
+            f"need 0 < distinct_rows <= accesses (or both 0), got "
+            f"{distinct_rows} distinct rows for {accesses:g} accesses"
+        )
     if accesses == 0:
         return CacheTraffic(accesses=0.0, hits=0.0, misses=0.0, dram_bytes=0.0)
-    distinct = float(np.unique(row_indices).size)
     capacity = float(cache_bytes) if cache_bytes is not None else float(
         device.readonly_cache_bytes_total
     )

@@ -95,8 +95,10 @@ def parti_gpu_spttm(
     # Factor rows: the y-threads of a block read consecutive columns of the
     # same row, which coalesces well; reuse only through the L2 (ParTI does
     # not route these loads through the read-only cache).
+    factor_rows = np.asarray(tensor.mode_indices(mode))
     factor_traffic = readonly_cache_traffic(
-        np.asarray(tensor.mode_indices(mode)),
+        factor_rows.size,
+        np.unique(factor_rows).size,
         rank * 4.0,
         device,
         cache_bytes=float(device.l2_bytes),
@@ -216,7 +218,8 @@ def parti_gpu_spmttkrp(
         nnz, order * 8 + 4, AccessPattern.COALESCED, device
     )
     counters.gmem_read_bytes += readonly_cache_traffic(
-        idx[:, last_product] if nnz else np.empty(0, dtype=np.int64),
+        nnz,
+        np.unique(idx[:, last_product]).size if nnz else 0,
         rank * 4.0,
         device,
         cache_bytes=float(device.l2_bytes),
@@ -240,7 +243,8 @@ def parti_gpu_spmttkrp(
             if m == last_product:
                 continue
             counters.gmem_read_bytes += readonly_cache_traffic(
-                fiber_keys[:, other.index(m)],
+                fiber_keys.shape[0],
+                np.unique(fiber_keys[:, other.index(m)]).size,
                 rank * 4.0,
                 device,
                 cache_bytes=float(device.l2_bytes),

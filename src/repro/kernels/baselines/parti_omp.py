@@ -32,8 +32,13 @@ def _llc_factor_bytes(row_indices: np.ndarray, rank: int, cpu: CpuSpec) -> float
     granularity difference (64-byte CPU lines vs 128-byte GPU lines) is a
     second-order effect for row sizes of 32–256 bytes.
     """
+    row_indices = np.asarray(row_indices)
     traffic = readonly_cache_traffic(
-        row_indices, rank * 4.0, TITAN_X, cache_bytes=float(cpu.llc_bytes)
+        row_indices.size,
+        np.unique(row_indices).size,
+        rank * 4.0,
+        TITAN_X,
+        cache_bytes=float(cpu.llc_bytes),
     )
     return traffic.dram_bytes
 

@@ -155,7 +155,12 @@ def splatt_mttkrp(
 
 def _llc_factor_bytes(row_indices: np.ndarray, rank: int, cpu: CpuSpec) -> float:
     """DRAM bytes for factor-row gathers after last-level-cache reuse."""
+    row_indices = np.asarray(row_indices)
     traffic = readonly_cache_traffic(
-        row_indices, rank * 4.0, TITAN_X, cache_bytes=float(cpu.llc_bytes)
+        row_indices.size,
+        np.unique(row_indices).size,
+        rank * 4.0,
+        TITAN_X,
+        cache_bytes=float(cpu.llc_bytes),
     )
     return traffic.dram_bytes

@@ -18,6 +18,10 @@ All three kernels share the same skeleton:
 
 The kernels return numerically exact results (vectorised NumPy) together
 with a :class:`repro.gpusim.KernelProfile` describing the simulated cost.
+That profile reads only the encoding's index structure, so each kernel's
+``plan_*`` function prices a launch without numerics
+(:mod:`repro.kernels.unified.plan`); the kernels call it themselves and
+then run the arithmetic exactly once.
 
 Tensors larger than device memory execute out-of-core
 (:mod:`repro.kernels.unified.streaming`): the non-zero stream is chunked on
@@ -31,34 +35,39 @@ streaming per-device when it still does not fit — and the partial outputs
 merge through a modeled collective.
 """
 
-from repro.kernels.unified.spttm import unified_spttm
-from repro.kernels.unified.spmttkrp import unified_spmttkrp
-from repro.kernels.unified.spttmc import unified_spttmc
+from repro.kernels.unified.spttm import plan_spttm, unified_spttm
+from repro.kernels.unified.spmttkrp import plan_spmttkrp, unified_spmttkrp
+from repro.kernels.unified.spttmc import plan_spttmc, unified_spttmc
 from repro.kernels.unified.streaming import (
     ChunkLedger,
     StreamedExecution,
     choose_chunk_nnz,
-    execute_streamed,
+    plan_streamed,
+    streamed_segment_sums,
 )
 from repro.kernels.unified.sharded import (
     ShardLedger,
     ShardedExecution,
-    execute_sharded,
     partition_shards,
     partition_shards_hierarchical,
+    plan_sharded,
 )
 
 __all__ = [
     "unified_spttm",
     "unified_spmttkrp",
     "unified_spttmc",
+    "plan_spttm",
+    "plan_spmttkrp",
+    "plan_spttmc",
     "ChunkLedger",
     "StreamedExecution",
     "choose_chunk_nnz",
-    "execute_streamed",
+    "plan_streamed",
+    "streamed_segment_sums",
     "ShardLedger",
     "ShardedExecution",
-    "execute_sharded",
+    "plan_sharded",
     "partition_shards",
     "partition_shards_hierarchical",
 ]

@@ -9,10 +9,6 @@ output scatter — is common and modelled here.
 
 from __future__ import annotations
 
-from typing import Sequence
-
-import numpy as np
-
 from repro.formats.fcoo import FCOOTensor
 from repro.gpusim.counters import KernelCounters
 from repro.gpusim.device import DeviceSpec
@@ -54,7 +50,8 @@ def tensor_stream_counters(
 
 
 def factor_access_counters(
-    row_indices: np.ndarray,
+    accesses: int,
+    distinct_rows: int,
     rank: int,
     device: DeviceSpec,
     *,
@@ -63,10 +60,11 @@ def factor_access_counters(
 ) -> KernelCounters:
     """Traffic for gathering factor-matrix rows selected by a product mode.
 
-    Each non-zero reads one row (``rank`` values) of the factor matrix whose
-    row index comes from the product-mode index stream.  The unified kernels
-    route these reads through the read-only data cache; a baseline that does
-    not (``use_readonly_cache=False``) only benefits from the L2.
+    Each of the ``accesses`` non-zeros reads one row (``rank`` values) of
+    the factor matrix; ``distinct_rows`` of them are different rows.  The
+    unified kernels route these reads through the read-only data cache; a
+    baseline that does not (``use_readonly_cache=False``) only benefits
+    from the L2.
     """
     row_bytes = float(rank * value_bytes)
     cache_bytes = (
@@ -74,7 +72,9 @@ def factor_access_counters(
         if use_readonly_cache
         else float(device.l2_bytes)
     )
-    traffic = readonly_cache_traffic(row_indices, row_bytes, device, cache_bytes=cache_bytes)
+    traffic = readonly_cache_traffic(
+        accesses, distinct_rows, row_bytes, device, cache_bytes=cache_bytes
+    )
     return KernelCounters(gmem_read_bytes=traffic.dram_bytes)
 
 
@@ -100,7 +100,6 @@ def output_scatter_counters(
 
 def unified_kernel_counters(
     fcoo: FCOOTensor,
-    factor_row_streams: Sequence[np.ndarray],
     rank: int,
     output_rows: int,
     output_width: int,
@@ -115,10 +114,10 @@ def unified_kernel_counters(
     Parameters
     ----------
     fcoo:
-        The encoded tensor.
-    factor_row_streams:
-        One row-index stream per dense factor matrix that is gathered (for
-        SpTTM a single stream, for SpMTTKRP/SpTTMc one per product mode).
+        The encoded tensor.  Every product-mode index column is one
+        gathered factor-row stream (a single one for SpTTM, one per product
+        mode for SpMTTKRP/SpTTMc); the ledger reads only the encoding's
+        structure, never its values.
     rank:
         Number of columns of each gathered factor matrix.
     output_rows / output_width:
@@ -136,9 +135,9 @@ def unified_kernel_counters(
     """
     nnz = fcoo.nnz
     counters = tensor_stream_counters(fcoo, launch, device)
-    for stream in factor_row_streams:
+    for distinct_rows in fcoo.distinct_product_rows:
         counters = counters.merge(
-            factor_access_counters(stream, rank, device, use_readonly_cache=True)
+            factor_access_counters(nnz, distinct_rows, rank, device, use_readonly_cache=True)
         )
     counters = counters.merge(
         output_scatter_counters(output_rows, output_width, device)

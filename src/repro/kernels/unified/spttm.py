@@ -32,31 +32,73 @@ from repro.context import UNSET, ExecContext, resolve_context
 from repro.formats.fcoo import FCOOTensor
 from repro.formats.mode_encoding import OperationKind
 from repro.formats.semisparse import SemiSparseTensor
-from repro.gpusim.cluster import resolve_cluster
+from repro.gpusim.counters import KernelProfile
 from repro.gpusim.device import DeviceSpec, TITAN_X
 from repro.gpusim.launch import LaunchConfig
 from repro.gpusim.timing import profile_from_counters
 from repro.kernels.common import SpTTMResult, validate_factor
-from repro.kernels.unified._model import (
-    unified_device_footprint,
-    unified_kernel_counters,
+from repro.kernels.unified._model import unified_kernel_counters
+from repro.kernels.unified.plan import (
+    UnifiedCost,
+    encode_for,
+    plan_unified,
+    unified_segment_sums,
 )
-from repro.kernels.unified.sharded import sharded_unified_kernel
-from repro.kernels.unified.streaming import should_stream, streamed_unified_kernel
 from repro.obs.metrics import observe_kernel_profile
 from repro.tensor.sparse import SparseTensor
-from repro.util.validation import check_mode
 
-__all__ = ["unified_spttm"]
+__all__ = ["unified_spttm", "plan_spttm"]
 
 
-def _fiber_values(fcoo: FCOOTensor, matrix: np.ndarray, backend: Backend):
-    """Numeric core: per-fiber sums of ``value * U[k, :]`` plus the row stream."""
+def _fiber_values(fcoo: FCOOTensor, matrix: np.ndarray, backend: Backend) -> np.ndarray:
+    """Numeric core: per-fiber sums of ``value * U[k, :]``."""
     product_idx = fcoo.product_mode_indices(0).astype(np.int64)
-    sums = backend.hadamard_segment_sums(
+    return backend.hadamard_segment_sums(
         fcoo.values, [matrix], [product_idx], fcoo.segment_ids, fcoo.num_segments
     )
-    return sums, product_idx
+
+
+def plan_spttm(
+    fcoo: FCOOTensor,
+    rank: int,
+    *,
+    device: DeviceSpec = TITAN_X,
+    block_size: int = 128,
+    threadlen: int = 8,
+    fused: bool = True,
+    ctx: Optional[ExecContext] = None,
+) -> KernelProfile:
+    """The profile :func:`unified_spttm` reports for ``fcoo`` and a rank-``rank``
+    factor, priced without any value arithmetic (see
+    :mod:`repro.kernels.unified.plan`)."""
+    ctx = ctx if ctx is not None else ExecContext()
+    name = f"unified-spttm-mode{fcoo.mode}"
+    if fcoo.nnz == 0:
+        launch = LaunchConfig(block_size=block_size, grid_x=1, grid_y=rank, threadlen=threadlen)
+        counters = unified_kernel_counters(fcoo, rank, 0, rank, launch, device, fused=fused)
+        return profile_from_counters(name, counters, launch, device)
+    num_segments = fcoo.num_segments
+    cost = UnifiedCost(
+        name=name,
+        rank=rank,
+        output_width=rank,
+        flops_per_nnz_per_column=2.0,
+        factor_bytes=fcoo.shape[fcoo.mode] * rank * 4.0,
+        output_bytes=num_segments * rank * 4.0 + num_segments * (fcoo.order - 1) * 4.0,
+        # The semi-sparse output stays partitioned across the devices (the
+        # next pipeline stage consumes it in place); only the fibers
+        # straddling a shard boundary exchange with a neighbour.
+        reduction="boundary",
+    )
+    return plan_unified(
+        fcoo,
+        cost,
+        device=device,
+        block_size=block_size,
+        threadlen=threadlen,
+        fused=fused,
+        ctx=ctx,
+    )
 
 
 def unified_spttm(
@@ -145,132 +187,34 @@ def unified_spttm(
         cluster=cluster,
         devices=devices,
     )
-    streamed, num_streams, chunk_nnz = ctx.streamed, ctx.num_streams, ctx.chunk_nnz
-    cluster, devices = ctx.cluster, ctx.devices
     backend_impl = get_backend(ctx.backend)
-    if isinstance(tensor, FCOOTensor):
-        fcoo = tensor
-        if fcoo.operation is not OperationKind.SPTTM or fcoo.mode != check_mode(mode, fcoo.order):
-            raise ValueError(
-                f"the provided FCOOTensor is encoded for {fcoo.operation.value} on mode "
-                f"{fcoo.mode}, not SpTTM on mode {mode}"
-            )
-    else:
-        mode = check_mode(mode, tensor.order)
-        fcoo = FCOOTensor.from_sparse(tensor, OperationKind.SPTTM, mode)
-
-    shape = fcoo.shape
-    matrix = validate_factor(matrix, shape[fcoo.mode], "matrix")
+    fcoo = encode_for(tensor, OperationKind.SPTTM, mode)
+    matrix = validate_factor(matrix, fcoo.shape[fcoo.mode], "matrix")
     rank = matrix.shape[1]
+    profile = plan_spttm(
+        fcoo,
+        rank,
+        device=device,
+        block_size=block_size,
+        threadlen=threadlen,
+        fused=fused,
+        ctx=ctx,
+    )
 
-    out_shape = list(shape)
+    out_shape = list(fcoo.shape)
     out_shape[fcoo.mode] = rank
-
-    # ------------------------------------------------------------------ #
-    # Numerical result (what the GPU kernel would produce).
-    # ------------------------------------------------------------------ #
-    if fcoo.nnz == 0:
-        output = SemiSparseTensor(
-            shape=tuple(out_shape),
-            dense_mode=fcoo.mode,
-            fiber_coords=np.empty((0, fcoo.order - 1), dtype=np.int64),
-            fiber_values=np.empty((0, rank), dtype=np.float64),
-        )
-        launch = LaunchConfig(block_size=block_size, grid_x=1, grid_y=rank, threadlen=threadlen)
-        profile = profile_from_counters(
-            f"unified-spttm-mode{fcoo.mode}",
-            unified_kernel_counters(fcoo, [], rank, 0, rank, launch, device, fused=fused),
-            launch,
-            device,
-        )
-        if ctx.metrics is not None:
-            observe_kernel_profile(ctx.metrics, kernel="spttm", nnz=0, profile=profile)
-        return SpTTMResult(output=output, profile=profile)
-
-    launch = LaunchConfig.for_nnz(fcoo.nnz, rank, block_size=block_size, threadlen=threadlen)
-    factor_bytes = matrix.shape[0] * rank * 4.0
-    output_bytes = fcoo.num_segments * rank * 4.0 + fcoo.num_segments * (fcoo.order - 1) * 4.0
-    footprint = unified_device_footprint(fcoo, launch, factor_bytes, output_bytes)
-
-    device, multi = resolve_cluster(device, cluster, devices)
-
-    def numeric_core(chunk: FCOOTensor):
-        sums, product_idx = _fiber_values(chunk, matrix, backend_impl)
-        return sums, [product_idx]
-
-    if multi is not None:
-        # -------------------------------------------------------------- #
-        # Multi-GPU path: shards reduce their own fibers in parallel; the
-        # semi-sparse output stays partitioned across the devices (the
-        # next pipeline stage consumes it in place) and only the fibers
-        # straddling a shard boundary exchange with a neighbour.
-        # -------------------------------------------------------------- #
-        fiber_values, profile = sharded_unified_kernel(
-            fcoo,
-            numeric_core,
-            rank=rank,
-            output_width=rank,
-            flops_per_nnz_per_column=2.0,
-            block_size=block_size,
-            threadlen=threadlen,
-            fused=fused,
-            cluster=multi,
-            streamed=streamed,
-            num_streams=num_streams,
-            chunk_nnz=chunk_nnz,
-            resident_bytes=factor_bytes + output_bytes,
-            output_bytes=output_bytes,
-            name=f"unified-spttm-mode{fcoo.mode}",
-            reduction="boundary",
-        )
-    elif should_stream(fcoo, footprint, device, streamed):
-        # -------------------------------------------------------------- #
-        # Out-of-core path: each chunk produces partial fiber sums for its
-        # local segments; boundary-straddling fibers merge by segment id.
-        # -------------------------------------------------------------- #
-        fiber_values, profile = streamed_unified_kernel(
-            fcoo,
-            numeric_core,
-            rank=rank,
-            output_width=rank,
-            flops_per_nnz_per_column=2.0,
-            block_size=block_size,
-            threadlen=threadlen,
-            fused=fused,
-            device=device,
-            num_streams=num_streams,
-            chunk_nnz=chunk_nnz,
-            resident_bytes=factor_bytes + output_bytes,
-            name=f"unified-spttm-mode{fcoo.mode}",
+    if fcoo.nnz:
+        fiber_coords = fcoo.segment_index_coords
+        fiber_values = unified_segment_sums(
+            fcoo, lambda chunk: _fiber_values(chunk, matrix, backend_impl), profile
         )
     else:
-        fiber_values, product_idx = _fiber_values(fcoo, matrix, backend_impl)
-        # ------------------------------------------------------------------ #
-        # Simulated cost.
-        # ------------------------------------------------------------------ #
-        counters = unified_kernel_counters(
-            fcoo,
-            [product_idx],
-            rank,
-            output_rows=fcoo.num_segments,
-            output_width=rank,
-            launch=launch,
-            device=device,
-            flops_per_nnz_per_column=2.0,
-            fused=fused,
-        )
-        profile = profile_from_counters(
-            f"unified-spttm-mode{fcoo.mode}",
-            counters,
-            launch,
-            device,
-            device_memory_bytes=footprint,
-        )
-
+        fiber_coords = np.empty((0, fcoo.order - 1), dtype=np.int64)
+        fiber_values = np.empty((0, rank), dtype=np.float64)
     output = SemiSparseTensor(
         shape=tuple(out_shape),
         dense_mode=fcoo.mode,
-        fiber_coords=fcoo.segment_index_coords,
+        fiber_coords=fiber_coords,
         fiber_values=fiber_values,
     )
     if ctx.metrics is not None:

@@ -9,14 +9,17 @@ overlaps each partition's copy with the previous partition's kernel
 * :func:`choose_chunk_nnz` sizes the partitions so that ``num_streams``
   in-flight chunk buffers plus the resident operands (factor matrices and
   the output) fit in device memory;
-* :func:`execute_streamed` runs a kernel-specific per-chunk callable over
-  the :meth:`~repro.formats.fcoo.FCOOTensor.chunk` partitioning, merges the
-  per-chunk per-segment partial sums (cross-chunk segments merge by the
-  global-segment-id mapping), resolves the transfer/compute pipeline by
-  booking the chunks onto the device's copy/compute resources with
+* :func:`plan_streamed` prices a kernel-specific per-chunk cost callable
+  over the :meth:`~repro.formats.fcoo.FCOOTensor.chunk` partitioning,
+  resolves the transfer/compute pipeline by booking the chunks onto the
+  device's copy/compute resources with
   :func:`repro.gpusim.timeline.schedule_chunks`, and assembles a
   :class:`~repro.gpusim.counters.KernelProfile` whose estimated time charges
-  ``max(transfer, compute)`` per pipelined chunk instead of their sum.
+  ``max(transfer, compute)`` per pipelined chunk instead of their sum — no
+  value arithmetic involved;
+* :func:`streamed_segment_sums` runs a kernel's numeric core over the same
+  chunks and merges the per-chunk per-segment partial sums (cross-chunk
+  segments merge by the global-segment-id mapping).
 
 The numeric outputs are identical (up to floating-point summation order) to
 the one-shot kernels — ``tests/test_streaming.py`` is the property harness
@@ -26,7 +29,7 @@ proving it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -36,7 +39,6 @@ from repro.gpusim.device import DeviceSpec
 from repro.gpusim.launch import LaunchConfig
 from repro.gpusim.timeline import ChunkTiming, StreamSchedule, Timeline, schedule_chunks
 from repro.gpusim.timing import OutOfDeviceMemory, estimate_kernel_time
-from repro.kernels.unified._model import unified_kernel_counters
 from repro.util.validation import check_positive_int
 
 __all__ = [
@@ -44,9 +46,9 @@ __all__ = [
     "StreamedExecution",
     "choose_chunk_nnz",
     "coerce_segment_sums",
-    "execute_streamed",
+    "plan_streamed",
     "should_stream",
-    "streamed_unified_kernel",
+    "streamed_segment_sums",
 ]
 
 
@@ -72,14 +74,13 @@ def coerce_segment_sums(local_sums: np.ndarray, num_segments: int) -> np.ndarray
         )
     return local_sums
 
-#: A per-chunk kernel: maps the chunk's own F-COO encoding to its local
-#: per-segment partial sums ``(chunk.num_segments, width)``, the work ledger
-#: of executing it, and the launch it would be issued with.
-ChunkKernel = Callable[[FCOOTensor], Tuple[np.ndarray, KernelCounters, LaunchConfig]]
+#: A per-chunk cost: maps the chunk's own F-COO encoding to the work ledger
+#: of executing it and the launch it would be issued with.
+ChunkCost = Callable[[FCOOTensor], Tuple[KernelCounters, LaunchConfig]]
 
 #: A kernel's numeric core: maps an F-COO encoding (the whole tensor or one
-#: chunk) to its per-segment partial sums and the factor row-index streams.
-NumericCore = Callable[[FCOOTensor], Tuple[np.ndarray, Sequence[np.ndarray]]]
+#: chunk) to its per-segment partial sums ``(num_segments, width)``.
+NumericCore = Callable[[FCOOTensor], np.ndarray]
 
 
 def should_stream(
@@ -230,9 +231,9 @@ def choose_chunk_nnz(
     return max(threadlen, min(chunk_nnz, aligned_nnz))
 
 
-def execute_streamed(
+def plan_streamed(
     fcoo: FCOOTensor,
-    chunk_kernel: ChunkKernel,
+    chunk_cost: ChunkCost,
     *,
     device: DeviceSpec,
     threadlen: int,
@@ -240,16 +241,15 @@ def execute_streamed(
     chunk_nnz: Optional[int] = None,
     resident_bytes: float = 0.0,
     name: str = "unified-streamed",
-    output_width: Optional[int] = None,
-) -> Tuple[np.ndarray, KernelProfile]:
-    """Run a unified kernel chunk-by-chunk and merge the per-segment sums.
+) -> KernelProfile:
+    """Price a unified kernel's chunk-by-chunk execution.
 
     Parameters
     ----------
     fcoo:
         The full (host-resident) F-COO encoding.
-    chunk_kernel:
-        Kernel-specific callable; see :data:`ChunkKernel`.
+    chunk_cost:
+        Kernel-specific callable; see :data:`ChunkCost`.
     device / threadlen / num_streams / chunk_nnz:
         Streaming configuration.  ``chunk_nnz=None`` sizes chunks
         automatically with :func:`choose_chunk_nnz`; an explicit value must
@@ -259,17 +259,13 @@ def execute_streamed(
         Device bytes held for the whole execution (factors + output).
     name:
         Profile name; ``-streamed`` is appended.
-    output_width:
-        Column count of the per-segment sums; normally inferred from the
-        first chunk's result, only needed to shape the output when the
-        non-zero stream is empty (defaults to 1 then).
 
     Returns
     -------
-    (segment_sums, profile)
-        ``segment_sums`` has shape ``(fcoo.num_segments, width)`` with the
-        merged per-segment reductions (cross-chunk partial segments summed);
-        ``profile.streaming`` carries the :class:`StreamedExecution` ledger.
+    KernelProfile
+        ``profile.streaming`` carries the :class:`StreamedExecution` ledger,
+        whose ``chunk_nnz`` / ``threadlen`` reproduce the chunks
+        :func:`streamed_segment_sums` runs the numerics over.
     """
     num_streams = check_positive_int(num_streams, "num_streams")
     if chunk_nnz is None:
@@ -293,7 +289,7 @@ def execute_streamed(
 
     # Validate the device budget up front (the chunk byte sizes are pure
     # arithmetic) so an explicit over-sized chunk_nnz fails before any chunk
-    # work is done rather than after the whole stream has executed.
+    # is priced.
     chunk_bytes = [float(c.tensor.storage_bytes(threadlen)) for c in chunks]
     peak_chunk_bytes = max(chunk_bytes, default=0.0)
     footprint = resident_bytes + num_streams * peak_chunk_bytes
@@ -303,19 +299,9 @@ def execute_streamed(
     ledgers: List[ChunkLedger] = []
     timings: List[ChunkTiming] = []
     merged = KernelCounters()
-    segment_sums: Optional[np.ndarray] = None
 
     for i, chunk in enumerate(chunks):
-        local_sums, counters, launch = chunk_kernel(chunk.tensor)
-        local_sums = coerce_segment_sums(local_sums, chunk.num_segments)
-        if segment_sums is None:
-            segment_sums = np.zeros(
-                (fcoo.num_segments, local_sums.shape[1]), dtype=np.float64
-            )
-        segment_sums[
-            chunk.segment_offset : chunk.segment_offset + chunk.num_segments
-        ] += local_sums
-
+        counters, launch = chunk_cost(chunk.tensor)
         transfer_bytes = chunk_bytes[i]
         counters.host_to_device_bytes += transfer_bytes
         compute_s, _ = estimate_kernel_time(
@@ -339,11 +325,6 @@ def execute_streamed(
         timings.append(ChunkTiming(transfer_s=transfer_s, compute_s=compute_s))
         merged = merged.merge(counters)
 
-    if segment_sums is None:
-        segment_sums = np.zeros(
-            (fcoo.num_segments, output_width if output_width else 1), dtype=np.float64
-        )
-
     schedule = schedule_chunks(timings, num_streams)
     execution = StreamedExecution(
         num_streams=num_streams,
@@ -352,7 +333,7 @@ def execute_streamed(
         chunks=ledgers,
         schedule=schedule,
     )
-    profile = KernelProfile(
+    return KernelProfile(
         name=f"{name}-streamed",
         counters=merged,
         estimated_time_s=schedule.total_time_s,
@@ -365,60 +346,33 @@ def execute_streamed(
         },
         streaming=execution,
     )
-    return segment_sums, profile
 
 
-def streamed_unified_kernel(
+def streamed_segment_sums(
     fcoo: FCOOTensor,
     numeric_core: NumericCore,
+    execution: StreamedExecution,
     *,
-    rank: int,
-    output_width: int,
-    flops_per_nnz_per_column: float,
-    block_size: int,
-    threadlen: int,
-    fused: bool,
-    device: DeviceSpec,
-    num_streams: int,
-    chunk_nnz: Optional[int],
-    resident_bytes: float,
-    name: str,
-) -> Tuple[np.ndarray, KernelProfile]:
-    """Streamed execution of a unified kernel given its numeric core.
+    output_width: int = 1,
+) -> np.ndarray:
+    """Run a numeric core over a planned execution's chunks and merge.
 
-    All three unified kernels share the same per-chunk shape — run the
-    numeric core, build the launch, assemble the counter ledger — and differ
-    only in the core itself, the gathered rank, the output width and the
-    per-column FLOP charge.  This wrapper owns the shared part so the
-    kernels stay single-sourced.
+    The chunks are re-cut from ``execution.chunk_nnz`` / ``threadlen``, so
+    they are exactly the ones :func:`plan_streamed` priced.  Returns
+    ``(fcoo.num_segments, width)`` per-segment reductions with
+    cross-chunk partial segments summed; ``output_width`` only shapes the
+    result of an empty stream.
     """
-
-    def chunk_kernel(chunk: FCOOTensor):
-        sums, row_streams = numeric_core(chunk)
-        chunk_launch = LaunchConfig.for_nnz(
-            chunk.nnz, rank, block_size=block_size, threadlen=threadlen
-        )
-        counters = unified_kernel_counters(
-            chunk,
-            row_streams,
-            rank,
-            output_rows=chunk.num_segments,
-            output_width=output_width,
-            launch=chunk_launch,
-            device=device,
-            flops_per_nnz_per_column=flops_per_nnz_per_column,
-            fused=fused,
-        )
-        return sums, counters, chunk_launch
-
-    return execute_streamed(
-        fcoo,
-        chunk_kernel,
-        device=device,
-        threadlen=threadlen,
-        num_streams=num_streams,
-        chunk_nnz=chunk_nnz,
-        resident_bytes=resident_bytes,
-        name=name,
-        output_width=output_width,
-    )
+    segment_sums: Optional[np.ndarray] = None
+    for chunk in fcoo.chunk(execution.chunk_nnz, threadlen=execution.threadlen):
+        local_sums = coerce_segment_sums(numeric_core(chunk.tensor), chunk.num_segments)
+        if segment_sums is None:
+            segment_sums = np.zeros(
+                (fcoo.num_segments, local_sums.shape[1]), dtype=np.float64
+            )
+        segment_sums[
+            chunk.segment_offset : chunk.segment_offset + chunk.num_segments
+        ] += local_sums
+    if segment_sums is None:
+        segment_sums = np.zeros((fcoo.num_segments, output_width), dtype=np.float64)
+    return segment_sums

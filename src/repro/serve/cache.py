@@ -15,9 +15,9 @@ optional host-memory budget; tuner entries are a few integers each and are
 kept unconditionally.
 
 Cache *misses* are charged simulated host seconds (the encode is a sort
-plus flag construction over the non-zeros; a tuner miss charges the swept
-kernel times), cache *hits* are free — this is exactly the latency the
-serving report attributes to preprocessing.
+plus flag construction over the non-zeros; a tuner miss charges a fixed
+model evaluation per swept configuration), cache *hits* are free — this is
+exactly the latency the serving report attributes to preprocessing.
 """
 
 from __future__ import annotations
@@ -207,10 +207,14 @@ class PreprocCache:
 
         Returns ``(config, hit, host_seconds)``.  A miss sweeps the reduced
         serving axes with :func:`repro.autotune.tune_unified` and charges
-        :data:`TUNER_SECONDS_PER_CONFIG` per configuration evaluated (the
-        serving tuner ranks candidates with the cost model rather than
-        executing them); a hit is free — this is the "repeat tenants skip
-        preprocessing" half of the cache that covers the tuner.
+        :data:`TUNER_SECONDS_PER_CONFIG` per configuration evaluated; a hit
+        is free — this is the "repeat tenants skip preprocessing" half of
+        the cache that covers the tuner.  The sweep prices every
+        configuration from the F-COO encoding alone (no numerics) and runs
+        on this cache's resident encoding of ``(tensor, operation, mode)``
+        when there is one — read without touching the LRU order or the
+        encoding counters — so it neither re-encodes nor recounts the
+        distinct factor rows the jobs on that encoding already counted.
         """
         from repro.autotune import tune_unified
 
@@ -222,8 +226,9 @@ class PreprocCache:
             return cached, True, 0.0
 
         self.stats.tuner_misses += 1
+        entry = self._encodings.get(key[:3])
         result = tune_unified(
-            tensor,
+            tensor if entry is None else entry.encoding,
             operation,
             mode,
             rank=rank,

@@ -117,7 +117,17 @@ __all__ = [
     "PreemptionRecord",
     "ScheduleOutcome",
     "Scheduler",
+    "tuner_device",
 ]
+
+
+def tuner_device(cluster: ClusterLike) -> DeviceSpec:
+    """Where a cluster's tuner sweeps run: its most capable member (ties:
+    lowest slot)."""
+    weights = cluster.capability_weights()
+    return cluster.devices[
+        max(range(cluster.num_devices), key=lambda s: (weights[s], -s))
+    ]
 
 
 @dataclass
@@ -412,11 +422,7 @@ class Scheduler:
             adaptive=adaptive,
             observations=observations,
         )
-        weights = cluster.capability_weights()
-        #: Where tuner sweeps run: the most capable member (ties: lowest slot).
-        self._tuner_device = cluster.devices[
-            max(range(cluster.num_devices), key=lambda s: (weights[s], -s))
-        ]
+        self._tuner_device = tuner_device(cluster)
 
     # ------------------------------------------------------------------ #
     def _queue_key(self, job: Job) -> Tuple:

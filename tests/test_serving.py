@@ -875,7 +875,9 @@ class TestWorkloadAndSurfaces:
             "serve/seconds_per_job",
             "serve/mean_queue_wait",
             "serve/rejected_jobs_count",
+            "serve/plan_execute_mismatch_count",
         }
+        assert metrics["serve/plan_execute_mismatch_count"] == 0.0
         assert all(v >= 0.0 for v in metrics.values())
         assert metrics["serve/p99_latency"] >= metrics["serve/p50_latency"]
 

@@ -260,28 +260,32 @@ class TestChunkedEqualsOneShot:
             sum(c.compute_s for c in execution.chunks)
         )
 
-    def test_execute_streamed_accepts_one_dimensional_chunk_sums(self):
-        # Public-API contract: a width-1 chunk kernel may return its sums as
+    def test_streamed_segment_sums_accepts_one_dimensional_chunk_sums(self):
+        # Public-API contract: a width-1 numeric core may return its sums as
         # a plain (num_segments,) vector.
         from repro.gpusim.counters import KernelCounters
         from repro.gpusim.launch import LaunchConfig
-        from repro.kernels.unified import execute_streamed
+        from repro.kernels.unified import plan_streamed, streamed_segment_sums
 
         tensor = CASES["order3-uniform"]()
         fcoo = FCOOTensor.from_sparse(tensor, OperationKind.SPMTTKRP, 0)
 
-        def chunk_kernel(chunk):
-            sums = np.bincount(
+        def chunk_cost(chunk):
+            launch = LaunchConfig.for_nnz(chunk.nnz, 1, threadlen=THREADLEN)
+            return KernelCounters(active_threads=1.0), launch
+
+        def value_sums(chunk):
+            return np.bincount(
                 chunk.segment_ids, weights=np.asarray(chunk.values, dtype=np.float64),
                 minlength=chunk.num_segments,
             )
-            launch = LaunchConfig.for_nnz(chunk.nnz, 1, threadlen=THREADLEN)
-            return sums, KernelCounters(active_threads=1.0), launch
 
-        sums, profile = execute_streamed(
-            fcoo, chunk_kernel, device=TITAN_X, threadlen=THREADLEN,
+        profile = plan_streamed(
+            fcoo, chunk_cost, device=TITAN_X, threadlen=THREADLEN,
             chunk_nnz=CHUNK_NNZ, name="segment-value-sums",
         )
+        assert profile.streaming.num_chunks > 1
+        sums = streamed_segment_sums(fcoo, value_sums, profile.streaming)
         assert sums.shape == (fcoo.num_segments, 1)
         expected = np.bincount(
             fcoo.segment_ids, weights=np.asarray(fcoo.values, dtype=np.float64),
@@ -289,41 +293,34 @@ class TestChunkedEqualsOneShot:
         )
         np.testing.assert_allclose(sums[:, 0], expected)
 
-        def bad_kernel(chunk):
-            sums, counters, launch = chunk_kernel(chunk)
-            return sums[:-1], counters, launch
-
         with pytest.raises(ValueError):
-            execute_streamed(
-                fcoo, bad_kernel, device=TITAN_X, threadlen=THREADLEN,
-                chunk_nnz=CHUNK_NNZ, name="bad",
+            streamed_segment_sums(
+                fcoo, lambda chunk: value_sums(chunk)[:-1], profile.streaming
             )
 
-    def test_execute_streamed_on_empty_stream_honours_output_width(self):
+    def test_plan_streamed_on_empty_stream_honours_output_width(self):
         from repro.gpusim.counters import KernelCounters
         from repro.gpusim.launch import LaunchConfig
-        from repro.kernels.unified import execute_streamed
+        from repro.kernels.unified import plan_streamed, streamed_segment_sums
 
         empty = FCOOTensor.from_sparse(
             SparseTensor.empty((5, 6, 7)), OperationKind.SPMTTKRP, 0
         )
 
-        def chunk_kernel(chunk):  # pragma: no cover - zero chunks to run
-            return (
-                np.zeros((chunk.num_segments, 4)),
-                KernelCounters(),
-                LaunchConfig.for_nnz(max(chunk.nnz, 1), 4),
-            )
+        def chunk_cost(chunk):  # pragma: no cover - zero chunks to price
+            return KernelCounters(), LaunchConfig.for_nnz(max(chunk.nnz, 1), 4)
 
         # Auto chunk sizing must not choke on the empty stream, and the
-        # returned sums keep the caller's width.
-        sums, profile = execute_streamed(
-            empty, chunk_kernel, device=TITAN_X, threadlen=THREADLEN,
-            name="empty", output_width=4,
+        # merged sums keep the caller's width.
+        profile = plan_streamed(
+            empty, chunk_cost, device=TITAN_X, threadlen=THREADLEN, name="empty"
         )
-        assert sums.shape == (0, 4)
         assert profile.streaming.num_chunks == 0
         assert profile.estimated_time_s == 0.0
+        sums = streamed_segment_sums(
+            empty, lambda chunk: None, profile.streaming, output_width=4
+        )
+        assert sums.shape == (0, 4)
 
     def test_chunk_nnz_below_threadlen_rejected(self):
         tensor = CASES["order3-uniform"]()
