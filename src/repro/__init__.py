@@ -33,8 +33,7 @@ The package implements:
 * the unified execution-context API (:mod:`repro.context`):
   :class:`~repro.context.ExecContext` bundles the execution knobs every
   kernel and driver shares (streaming, cluster, chaos, caches) behind one
-  frozen ``ctx=`` parameter, with the legacy per-function keyword
-  arguments kept as deprecated aliases.
+  frozen ``ctx=`` parameter.
 
 Quick start
 -----------

@@ -23,14 +23,14 @@ matching Figure 10's breakdown.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Protocol, Sequence, Tuple
+from typing import Dict, List, Optional, Protocol, Sequence, Tuple
 
 import numpy as np
 
 from repro.algorithms.fit import cp_fit
 from repro.algorithms.normalization import normalize_columns
 from repro.backends import get_backend
-from repro.context import UNSET, ExecContext, resolve_context
+from repro.context import DEFAULT_CONTEXT, ExecContext
 from repro.cpusim.cpu import CPU_I7_5820K, CpuSpec
 from repro.formats.fcoo import FCOOTensor
 from repro.formats.csf import CSFTensor
@@ -95,74 +95,37 @@ class UnifiedGPUEngine:
         mode (the auto-tuner of Figure 5 / Table V produces these).
     per_mode_params:
         Optional ``{mode: (block_size, threadlen)}`` mapping.
-    streamed / num_streams / chunk_nnz:
-        Out-of-core controls forwarded to every MTTKRP.  The default
-        (``streamed=None``) auto-falls back to the chunked streaming path
-        when a mode's F-COO encoding does not fit in device memory, so
-        CP-ALS completes on over-capacity tensors instead of raising
-        :class:`~repro.gpusim.timing.OutOfDeviceMemory`.
-    cluster / devices:
-        Multi-GPU controls forwarded to every MTTKRP: a
-        :class:`~repro.gpusim.cluster.ClusterSpec` /
-        :class:`~repro.gpusim.cluster.MultiNodeClusterSpec` (or a bare device count
-        building a homogeneous cluster of ``device``) shards every MTTKRP
-        across the cluster and all-reduces the partial factor updates.
-        The engine accumulates the per-device busy seconds of the whole
-        decomposition in :attr:`device_timelines` and its scaling
-        efficiency in :attr:`parallel_efficiency`.
-    preproc_cache:
-        Optional :class:`~repro.serve.cache.PreprocCache` (any object with
-        its ``encoding(tensor, operation, mode)`` protocol).  When given,
-        :meth:`prepare` obtains the per-mode F-COO encodings through the
-        cache instead of rebuilding them, so repeated decompositions of the
-        same tensor — the multi-tenant serving pattern — skip the host
-        preprocessing; the host seconds of cache *misses* are then charged
-        into the setup time (they are exactly what a later hit saves).
     ctx:
-        A :class:`~repro.context.ExecContext` supplying the execution
-        fields above in one bundle.  Explicit legacy kwargs override the
-        matching ``ctx`` fields but are deprecated and warn once each.
-        ``ctx.overlap_staging`` additionally defers resident shard staging
-        out of :meth:`prepare` into per-mode per-device ledgers that
-        :func:`cp_als` books on the copy engines (overlapped with the
-        previous mode's reduction).
+        The :class:`~repro.context.ExecContext` the engine runs under
+        (``None`` means :data:`~repro.context.DEFAULT_CONTEXT`).  Every
+        MTTKRP is forwarded its out-of-core (``streamed`` /
+        ``num_streams`` / ``chunk_nnz``) and multi-GPU (``cluster`` /
+        ``devices``) controls and its ``backend``.  In cluster mode the
+        engine accumulates the per-device busy seconds of the whole
+        decomposition in :attr:`device_timelines` and its scaling
+        efficiency in :attr:`parallel_efficiency`.  With a
+        ``preproc_cache``, :meth:`prepare` obtains the per-mode F-COO
+        encodings through the cache and charges the host seconds of its
+        misses into the setup time.  ``overlap_staging`` defers resident
+        shard staging out of :meth:`prepare` into per-mode per-device
+        ledgers that :func:`cp_als` books on the copy engines (overlapped
+        with the previous mode's reduction).
     """
 
     device: DeviceSpec = TITAN_X
     block_size: int = 128
     threadlen: int = 8
     per_mode_params: Optional[Dict[int, Tuple[int, int]]] = None
-    streamed: Optional[bool] = None
-    num_streams: int = 2
-    chunk_nnz: Optional[int] = None
-    cluster: Optional[ClusterLike] = None
-    devices: Optional[int] = None
-    preproc_cache: Optional[object] = None
     name: str = "unified-gpu"
     ctx: Optional[ExecContext] = None
 
     def __post_init__(self) -> None:
-        resolved = resolve_context(
-            "UnifiedGPUEngine",
-            self.ctx,
-            streamed=self.streamed if self.streamed is not None else UNSET,
-            num_streams=self.num_streams if self.num_streams != 2 else UNSET,
-            chunk_nnz=self.chunk_nnz if self.chunk_nnz is not None else UNSET,
-            cluster=self.cluster if self.cluster is not None else UNSET,
-            devices=self.devices if self.devices is not None else UNSET,
-            preproc_cache=self.preproc_cache if self.preproc_cache is not None else UNSET,
-        )
-        self.ctx = resolved
-        self.streamed = resolved.streamed
-        self.num_streams = resolved.num_streams
-        self.chunk_nnz = resolved.chunk_nnz
-        self.cluster = resolved.cluster
-        self.devices = resolved.devices
-        self.preproc_cache = resolved.preproc_cache
-        self._overlap_staging = resolved.overlap_staging
+        self.ctx = self.ctx if self.ctx is not None else DEFAULT_CONTEXT
         self._encodings: Dict[int, FCOOTensor] = {}
         self._tensor: Optional[SparseTensor] = None
-        self.device, self._cluster = resolve_cluster(self.device, self.cluster, self.devices)
+        self.device, self._cluster = resolve_cluster(
+            self.device, self.ctx.cluster, self.ctx.devices
+        )
         self._timeline = ShardedTimeline(
             self._cluster.num_devices if self._cluster is not None else 1
         )
@@ -188,10 +151,10 @@ class UnifiedGPUEngine:
         # into the next CPResult's per-device report.
         self._timeline = ShardedTimeline(self._timeline.num_devices)
         encode_s = 0.0
-        if self.preproc_cache is not None:
+        if self.ctx.preproc_cache is not None:
             self._encodings = {}
             for mode in range(tensor.order):
-                encoding, _hit, cost_s = self.preproc_cache.encoding(
+                encoding, _hit, cost_s = self.ctx.preproc_cache.encoding(
                     tensor, OperationKind.SPMTTKRP, mode
                 )
                 self._encodings[mode] = encoding
@@ -212,7 +175,7 @@ class UnifiedGPUEngine:
         for mode, enc in self._encodings.items():
             if self._will_stream(enc, rank):
                 continue
-            if self._overlap_staging:
+            if self.ctx.overlap_staging:
                 # Defer resident shard staging onto the per-device copy
                 # engines: cp_als books each device's shard transfer during
                 # the first sweep, overlapped with the previous mode's
@@ -259,7 +222,7 @@ class UnifiedGPUEngine:
             # Each device holds only its shard (~1/N of the stream) next to
             # the full dense operands.
             footprint = resident + (footprint - resident) / self._cluster.num_devices
-        return should_stream(encoding, footprint, self.device, self.streamed)
+        return should_stream(encoding, footprint, self.device, self.ctx.streamed)
 
     def _params_for(self, mode: int) -> Tuple[int, int]:
         if self.per_mode_params and mode in self.per_mode_params:
@@ -278,11 +241,11 @@ class UnifiedGPUEngine:
             block_size=block_size,
             threadlen=threadlen,
             ctx=ExecContext(
-                streamed=self.streamed,
-                num_streams=self.num_streams,
-                chunk_nnz=self.chunk_nnz,
+                streamed=self.ctx.streamed,
+                num_streams=self.ctx.num_streams,
+                chunk_nnz=self.ctx.chunk_nnz,
                 cluster=self._cluster,
-                backend=self.ctx.backend if self.ctx is not None else None,
+                backend=self.ctx.backend,
             ),
         )
         self._timeline.observe(result.profile, slot_map=self._slot_map)
@@ -344,9 +307,9 @@ class UnifiedGPUEngine:
     def resolved_cluster(self) -> Optional[ClusterLike]:
         """The cluster MTTKRPs shard across (``None`` in single-GPU mode).
 
-        This is the normalised form of the ``cluster=`` / ``devices=``
-        inputs (see :func:`~repro.gpusim.cluster.resolve_cluster`) —
-        what :func:`cp_als` books collective time against on the unified
+        This is the normalised form of ``ctx.cluster`` / ``ctx.devices``
+        (see :func:`~repro.gpusim.cluster.resolve_cluster`) — what
+        :func:`cp_als` books collective time against on the unified
         timeline.
         """
         return self._cluster
@@ -512,7 +475,7 @@ class CPResult:
         update books compute.
     overlap_modes:
         Whether the run overlapped each mode's collective with its dense
-        update (see :func:`cp_als`).
+        update (:attr:`~repro.context.ExecContext.overlap_modes`).
     timeline:
         The :class:`~repro.gpusim.timeline.Timeline` the decomposition's
         per-mode MTTKRP computes, collectives and dense updates were
@@ -580,8 +543,6 @@ def cp_als(
     seed: SeedLike = 0,
     compute_fit: bool = True,
     initial_factors: Optional[Sequence[np.ndarray]] = None,
-    overlap_modes: Any = UNSET,
-    chaos: Any = UNSET,
     ctx: Optional[ExecContext] = None,
 ) -> CPResult:
     """Run CP-ALS (Algorithm 1) on a sparse tensor.
@@ -606,45 +567,11 @@ def cp_als(
         evaluation per iteration; disable for pure benchmarking).
     initial_factors:
         Optional explicit initial factors (overrides ``seed``).
-    overlap_modes:
-        Intra-kernel pipelining on the unified timeline: mode ``k``'s
-        partial-output all-reduce books the cluster's link/NIC resources
-        while mode ``k``'s dense update (the normal-equations solve on the
-        reduce-scattered rows each device owns) books the compute engines;
-        mode ``k + 1``'s MTTKRP waits for both — the updated factor must be
-        fully distributed — so the numeric iteration order, and hence every
-        factor, is bit-identical to the sequential schedule.  Only
-        ``CPResult.makespan_s`` moves, and only downward: each mode pays
-        ``max(collective, dense)`` instead of their sum.  A single-GPU
-        engine has no collective, so the flag is a modeled no-op there.
-    chaos:
-        Optional :class:`~repro.gpusim.cluster.NodeFailure` events to
-        survive.  A failure *fires* at the first mode boundary whose
-        modeled completion time reaches ``failure.time_s`` while the
-        engine shards across a multi-node cluster containing
-        ``failure.node_index`` (indices read against the topology at that
-        moment).  The interrupted sweep's partial work is discarded as
-        wasted time (its bookings stay on the timeline), the failed
-        node's shards are re-staged onto the survivors (modeled on the
-        copy lanes), and the sweep replays in full from its
-        iteration-boundary checkpoint on the survivor topology.  Because
-        the sharded kernels are bit-identical across topologies and
-        CP-ALS draws randomness only at initialisation, the returned
-        factors are bit-identical to the failure-free run's.  Failures
-        that cannot apply (single-GPU engine, out-of-range node) are
-        ignored; ``recover_s`` is ignored here — a decomposition never
-        rebalances back onto a returned node mid-run (the serving layer
-        does reuse recovered nodes for *new* jobs).
-
     ctx:
-        A :class:`~repro.context.ExecContext`: supplies ``overlap_modes``
-        and ``chaos`` (the direct kwargs are deprecated aliases that
-        override it and warn once), plus ``overlap_staging`` — book each
-        mode's resident shard staging on the per-device copy engines
-        during the first sweep, overlapped with the previous mode's
-        reduction, instead of charging it serially in engine setup (the
-        factors are bit-identical; only modeled time moves, and only
-        downward).  When no ``engine`` is given, the default
+        The :class:`~repro.context.ExecContext` (``None`` means
+        :data:`~repro.context.DEFAULT_CONTEXT`).  The run reads its
+        ``overlap_modes``, ``chaos``, ``overlap_staging``, ``backend`` and
+        ``metrics`` fields.  When no ``engine`` is given, the default
         :class:`UnifiedGPUEngine` is built from this context, so
         ``cp_als(x, r, ctx=ExecContext(devices=4))`` is the multi-GPU
         spelling.
@@ -653,17 +580,15 @@ def cp_als(
     -------
     CPResult
     """
-    resolved = resolve_context("cp_als", ctx, overlap_modes=overlap_modes, chaos=chaos)
-    overlap_modes = resolved.overlap_modes
-    chaos = resolved.chaos
-    backend_impl = get_backend(resolved.backend)
+    ctx = ctx if ctx is not None else DEFAULT_CONTEXT
+    backend_impl = get_backend(ctx.backend)
     rank = check_rank(rank)
     max_iterations = check_positive_int(max_iterations, "max_iterations")
     if tensor.nnz == 0:
         raise ValueError("cannot decompose an all-zero tensor")
     order = tensor.order
     if engine is None:
-        engine = UnifiedGPUEngine(ctx=resolved)
+        engine = UnifiedGPUEngine(ctx=ctx)
 
     if initial_factors is not None:
         factors = [np.array(f, dtype=np.float64, copy=True) for f in initial_factors]
@@ -715,7 +640,7 @@ def cp_als(
     # Fault tolerance: pending chaos events, the lanes still alive (a
     # survivor-local kernel slot i maps to physical lane active_lanes[i]),
     # and the recovery ledger.
-    pending_failures = sorted(chaos or (), key=lambda f: (f.time_s, f.node_index))
+    pending_failures = sorted(ctx.chaos or (), key=lambda f: (f.time_s, f.node_index))
     active_lanes = list(compute_lanes)
     recoveries: List[RecoveryRecord] = []
     recovery_overhead_s = 0.0
@@ -838,7 +763,7 @@ def cp_als(
             timeline.book_together(
                 active_lanes,
                 dense_s,
-                ready_s=kernel_end if overlap_modes else reduce_end,
+                ready_s=kernel_end if ctx.overlap_modes else reduce_end,
                 label=f"dense:mode{mode}",
             )
             kernel_ready = reduce_end
@@ -867,14 +792,14 @@ def cp_als(
         device_time_by_device=getattr(engine, "device_timelines", None),
         parallel_efficiency=getattr(engine, "parallel_efficiency", None),
         makespan_s=timeline.makespan_s,
-        overlap_modes=overlap_modes,
+        overlap_modes=ctx.overlap_modes,
         timeline=timeline,
         recoveries=recoveries,
         recovery_overhead_s=recovery_overhead_s,
     )
-    if resolved.metrics is not None:
+    if ctx.metrics is not None:
         observe_decomposition(
-            resolved.metrics,
+            ctx.metrics,
             algorithm="cp_als",
             iterations=iterations_run,
             makespan_s=result.makespan_s or 0.0,

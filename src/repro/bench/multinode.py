@@ -27,6 +27,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.context import ExecContext
 from repro.data.registry import DATASETS, load_dataset
 from repro.formats.fcoo import FCOOTensor
 from repro.gpusim.cluster import (
@@ -40,9 +41,9 @@ from repro.bench.scaling import (
     SCALING_OPERATIONS,
     _OPERATION_KINDS,
     _effective_rank,
-    _run_operation,
     analog_interconnect,
 )
+from repro.kernels.unified.dispatch import run_unified
 from repro.tensor.random import random_factors
 from repro.util.formatting import format_seconds, format_table
 
@@ -222,15 +223,15 @@ def run_multinode_scaling(
                     intra=scaled_intra,
                     nic=scaled_nic,
                 )
-                result = _run_operation(
-                    op,
+                result = run_unified(
+                    _OPERATION_KINDS[op],
                     fcoo,
                     factors,
                     mode,
-                    cluster=cluster,
                     device=device,
                     block_size=block_size,
                     threadlen=threadlen,
+                    ctx=ExecContext(cluster=cluster),
                 )
                 execution = getattr(result.profile, "sharded", None)
                 if op == "spttm" or m == 1:

@@ -44,9 +44,7 @@ from repro.gpusim.cluster import (
 )
 from repro.gpusim.device import DeviceSpec, TITAN_X
 from repro.gpusim.timeline import Timeline, device_compute_key
-from repro.kernels.unified.spmttkrp import unified_spmttkrp
-from repro.kernels.unified.spttm import unified_spttm
-from repro.kernels.unified.spttmc import unified_spttmc
+from repro.kernels.unified.dispatch import run_unified
 from repro.tensor.random import random_factors, random_sparse_tensor
 from repro.tensor.sparse import SparseTensor
 from repro.util.formatting import format_seconds, format_table
@@ -202,30 +200,6 @@ def _op_payload_scale(operation: str, dense_payload_scale: float) -> Optional[fl
     return None if operation == "spttm" else dense_payload_scale
 
 
-def _run_operation(
-    operation: str,
-    fcoo: FCOOTensor,
-    factors: Sequence[np.ndarray],
-    mode: int,
-    *,
-    cluster: Optional[ClusterSpec],
-    device: DeviceSpec,
-    block_size: int,
-    threadlen: int,
-):
-    kwargs = dict(
-        device=device,
-        block_size=block_size,
-        threadlen=threadlen,
-        ctx=ExecContext(cluster=cluster),
-    )
-    if operation == "spttm":
-        return unified_spttm(fcoo, factors[mode], mode, **kwargs)
-    if operation == "spmttkrp":
-        return unified_spmttkrp(fcoo, factors, mode, **kwargs)
-    return unified_spttmc(fcoo, factors, mode, **kwargs)
-
-
 def _scaling_point(
     operation: str,
     workload: str,
@@ -251,15 +225,15 @@ def _scaling_point(
         if num_devices == 1
         else ClusterSpec.homogeneous(device, num_devices, interconnect=interconnect)
     )
-    result = _run_operation(
-        operation,
+    result = run_unified(
+        _OPERATION_KINDS[operation],
         fcoo,
         factors,
         mode,
-        cluster=cluster,
         device=device,
         block_size=block_size,
         threadlen=threadlen,
+        ctx=ExecContext(cluster=cluster),
     )
     execution = getattr(result.profile, "sharded", None)
     return ScalingRow(
@@ -449,15 +423,15 @@ def collect_scaling_trace(
             )
         else:
             cluster = None
-        result = _run_operation(
-            op,
+        result = run_unified(
+            _OPERATION_KINDS[op],
             fcoo,
             factors,
             mode,
-            cluster=cluster,
             device=device,
             block_size=block_size,
             threadlen=threadlen,
+            ctx=ExecContext(cluster=cluster),
         )
         execution = getattr(result.profile, "sharded", None)
         if execution is not None:

@@ -21,11 +21,10 @@ from repro.autotune import tune_unified
 from repro.context import ExecContext
 from repro.gpusim.cluster import ClusterLike
 from repro.gpusim.timing import OutOfDeviceMemory
-from repro.kernels.unified import unified_spmttkrp, unified_spttm, unified_spttmc
+from repro.kernels.unified import run_unified
 from repro.serve.autoscale import AutoscalerSpec
 from repro.serve.cache import SERVING_BLOCK_SIZES, SERVING_THREADLENS, PreprocCache
 from repro.serve.engine import ServingEngine, ServingReport
-from repro.serve.job import JobKind
 from repro.serve.scheduler import tuner_device
 from repro.serve.workload import (
     ChaosSpec,
@@ -174,11 +173,6 @@ def plan_execute_mismatches(*, num_jobs: int = 40, seed: int = 0) -> int:
     counts the cells where they do not.
     """
     device = tuner_device(default_serving_cluster())
-    kernels = {
-        JobKind.SPTTM: lambda job, f, kw: unified_spttm(job.tensor, f[job.mode], job.mode, **kw),
-        JobKind.SPMTTKRP: lambda job, f, kw: unified_spmttkrp(job.tensor, f, job.mode, **kw),
-        JobKind.SPTTMC: lambda job, f, kw: unified_spttmc(job.tensor, f, job.mode, **kw),
-    }
     mismatches = 0
     seen = set()
     for job in generate_workload(WorkloadSpec(num_jobs=num_jobs, seed=seed)):
@@ -197,14 +191,17 @@ def plan_execute_mismatches(*, num_jobs: int = 40, seed: int = 0) -> int:
         factors = job.factors()
         for i, block_size in enumerate(SERVING_BLOCK_SIZES):
             for j, threadlen in enumerate(SERVING_THREADLENS):
-                launch = dict(
-                    device=device,
-                    block_size=block_size,
-                    threadlen=threadlen,
-                    ctx=ExecContext(),
-                )
                 try:
-                    executed = kernels[job.kind](job, factors, launch).estimated_time_s
+                    executed = run_unified(
+                        job.operation,
+                        job.tensor,
+                        factors,
+                        job.mode,
+                        device=device,
+                        block_size=block_size,
+                        threadlen=threadlen,
+                        ctx=ExecContext(),
+                    ).estimated_time_s
                 except OutOfDeviceMemory:
                     executed = np.inf
                 mismatches += int(

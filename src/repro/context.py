@@ -1,20 +1,12 @@
 """The unified execution-context API (`ExecContext`) and SLO classes.
 
-Six PRs of growth threaded the same execution knobs — ``streamed=``,
-``num_streams=``, ``chunk_nnz=``, ``cluster=``, ``devices=``, ``chaos=``,
-``preproc_cache=``, ``overlap_modes=`` — through every unified kernel and
-both decomposition drivers as loose keyword arguments.  This module bundles
-them into one frozen :class:`ExecContext` that every entry point accepts as
-``ctx=``:
+Every unified kernel and both decomposition drivers take their execution
+controls — streaming, cluster, chaos, caches, backend, metrics — from one
+frozen :class:`ExecContext`, passed as ``ctx=``:
 
 >>> from repro import ExecContext, unified_spmttkrp
 >>> ctx = ExecContext(streamed=True, num_streams=4)
 >>> result = unified_spmttkrp(tensor, factors, mode=0, ctx=ctx)  # doctest: +SKIP
-
-The legacy kwargs remain as *deprecated aliases*: passing one still works
-(it overrides the corresponding ``ctx`` field), but emits a
-:class:`DeprecationWarning` once per call site/parameter pair.  Equivalence
-between the two spellings is covered by ``tests/test_slo.py``.
 
 The module also defines:
 
@@ -31,16 +23,13 @@ The module also defines:
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, replace
 from typing import (
     TYPE_CHECKING,
     Any,
-    Dict,
     Optional,
     Protocol,
     Sequence,
-    Set,
     Tuple,
     runtime_checkable,
 )
@@ -55,14 +44,7 @@ __all__ = [
     "ExecContext",
     "DEFAULT_CONTEXT",
     "TimedResult",
-    "resolve_context",
-    "reset_deprecation_registry",
-    "UNSET",
 ]
-
-#: Sentinel distinguishing "legacy kwarg not passed" from an explicit value
-#: (``None`` and falsy values are all meaningful for these parameters).
-UNSET: Any = object()
 
 
 # ---------------------------------------------------------------------- #
@@ -129,37 +111,91 @@ class SLO:
 class ExecContext:
     """Bundled execution knobs for the unified kernels and decompositions.
 
-    Every field mirrors a formerly loose keyword argument (see the module
-    docstring); ``slo`` and ``overlap_staging`` are new in PR 7.
+    Each field is the one spelling of its control: the kernels,
+    :func:`~repro.algorithms.cp.cp_als`,
+    :func:`~repro.algorithms.tucker.tucker_hooi` and
+    :class:`~repro.algorithms.cp.UnifiedGPUEngine` read it from ``ctx``.
 
     Attributes
     ----------
     streamed:
-        Force (``True``) / forbid (``False``) the out-of-core streamed
-        path; ``None`` decides by device footprint.
+        ``None`` (default) auto-selects: one-shot when the operands fit in
+        device memory, out-of-core streaming otherwise, so a decomposition
+        completes on an over-capacity tensor instead of raising.  ``True``
+        forces streaming, ``False`` forces one-shot (raising
+        :class:`~repro.gpusim.timing.OutOfDeviceMemory` when it does not
+        fit).  An empty tensor always takes the one-shot path.
     num_streams:
-        CUDA streams / pipeline buffers for the streamed path.
+        CUDA streams (in-flight chunk buffers) for the streamed path; 1
+        disables the transfer/compute overlap.
     chunk_nnz:
-        Override the streamed path's chunk size (non-zeros per chunk).
+        Non-zeros per streamed chunk (must be at least the launch's
+        ``threadlen``; rounded down to a ``threadlen`` multiple); ``None``
+        sizes chunks to fill the device memory budget.
     cluster:
         Multi-GPU topology (:class:`~repro.gpusim.cluster.ClusterSpec` or
-        :class:`~repro.gpusim.cluster.MultiNodeClusterSpec`).
+        :class:`~repro.gpusim.cluster.MultiNodeClusterSpec`).  The
+        non-zero stream shards across its devices on ``threadlen``-aligned
+        boundaries and each shard runs on its own device, streaming there
+        when it still does not fit (``profile.sharded`` carries the
+        per-device ledger).  SpMTTKRP and SpTTMc merge their partial
+        outputs through a modeled all-reduce; SpTTM's semi-sparse
+        output stays partitioned and only the fibers straddling a shard
+        boundary exchange with a neighbour.  The decompositions shard every
+        kernel this way and report per-device busy time and scaling
+        efficiency.
     devices:
-        Shorthand for a flat homogeneous cluster of this many devices.
+        Shorthand for ``cluster``: a device count > 1 builds a homogeneous
+        single-node cluster of the kernel's ``device``.  Must agree with
+        ``cluster`` when both are given.
     chaos:
         Scripted :class:`~repro.gpusim.cluster.NodeFailure` events for the
-        decomposition drivers' checkpoint/replay path.
+        decompositions to survive.  A failure *fires* at the first kernel
+        boundary (an MTTKRP mode in CP-ALS, an SpTTMc in HOOI) whose
+        modeled completion time reaches ``failure.time_s`` while the run
+        shards across a multi-node cluster containing
+        ``failure.node_index`` (indices read against the topology at that
+        moment).  The interrupted sweep's partial work is discarded as
+        wasted time (its bookings stay on the timeline), the failed node's
+        shards re-stage onto the survivors (modeled on the copy lanes), and
+        the sweep replays in full from its iteration-boundary checkpoint
+        on the survivor topology.  Both decompositions draw randomness only
+        at initialisation and the sharded kernels are bit-identical across
+        topologies, so the recovered factors (and Tucker core) equal the
+        failure-free run's exactly.  Failures that cannot apply
+        (single-GPU run, out-of-range node) are ignored, and ``recover_s``
+        is ignored too: a decomposition never rebalances back onto a
+        returned node mid-run (the serving layer does reuse recovered
+        nodes for *new* jobs).
     preproc_cache:
-        A :class:`~repro.serve.PreprocCache` shared across calls.
+        A :class:`~repro.serve.PreprocCache` (any object with its
+        ``encoding(tensor, operation, mode)`` protocol) shared across
+        calls.  The decompositions obtain their per-mode F-COO encodings
+        through it instead of rebuilding them: CP-ALS in engine setup,
+        HOOI once per SpTTMc (within one decomposition every sweep past
+        the first hits).  Repeated decompositions of the same tensor — the
+        multi-tenant serving pattern — skip the host preprocessing; CP-ALS
+        charges the host seconds of cache *misses* into its setup time
+        (they are exactly what a later hit saves).
     overlap_modes:
-        CP-ALS: overlap each mode's all-reduce with the next mode's
-        kernels (PR 5).
+        CP-ALS intra-kernel pipelining on the unified timeline: mode
+        ``k``'s partial-output all-reduce books the cluster's link/NIC
+        resources while mode ``k``'s dense update (the normal-equations
+        solve on the reduce-scattered rows each device owns) books the
+        compute engines; mode ``k + 1``'s MTTKRP waits for both — the
+        updated factor must be fully distributed — so the numeric
+        iteration order, and hence every factor, is bit-identical to the
+        sequential schedule.  Only ``CPResult.makespan_s`` moves, and only
+        downward: each mode pays ``max(collective, dense)`` instead of
+        their sum.  A single-GPU run has no collective, so the flag is a
+        modeled no-op there.
     overlap_staging:
         CP-ALS on a sharded cluster: stage each mode's shards on the
         per-device copy engines during the first sweep, overlapped with
         the previous mode's reduction, instead of charging all staging
-        serially in engine setup (closes the ROADMAP carried item; off by
-        default so modeled seconds of existing runs are unchanged).
+        serially in engine setup (the factors are bit-identical; only
+        modeled time moves, and only downward; off by default so modeled
+        seconds of existing runs are unchanged).
     backend:
         The numeric-execution backend (:mod:`repro.backends`): a registry
         name (``"reference"`` / ``"vectorized"``), a
@@ -230,50 +266,6 @@ class ExecContext:
 
 #: The all-defaults context; what a call without ``ctx=`` resolves to.
 DEFAULT_CONTEXT = ExecContext()
-
-
-# ---------------------------------------------------------------------- #
-# Deprecated-alias plumbing
-# ---------------------------------------------------------------------- #
-_WARNED: Set[Tuple[str, str]] = set()
-
-
-def reset_deprecation_registry() -> None:
-    """Forget which deprecated aliases already warned (test hook)."""
-    _WARNED.clear()
-
-
-def _warn_legacy(func: str, param: str) -> None:
-    if (func, param) in _WARNED:
-        return
-    _WARNED.add((func, param))
-    warnings.warn(
-        f"{func}({param}=...) is deprecated; pass ctx=ExecContext({param}=...) "
-        f"instead (the legacy kwarg still works and overrides the context)",
-        DeprecationWarning,
-        stacklevel=4,
-    )
-
-
-def resolve_context(
-    func: str, ctx: Optional[ExecContext], **legacy: Any
-) -> ExecContext:
-    """Fold deprecated legacy kwargs into an effective :class:`ExecContext`.
-
-    ``legacy`` maps field names to the value the caller passed, or
-    :data:`UNSET` when the parameter was left at its default.  Explicitly
-    passed legacy values override the matching ``ctx`` field and warn once
-    per ``(func, field)`` pair; with no legacy values and no ``ctx`` the
-    result is :data:`DEFAULT_CONTEXT`.
-    """
-    base = ctx if ctx is not None else DEFAULT_CONTEXT
-    overrides: Dict[str, Any] = {}
-    for name, value in legacy.items():
-        if value is UNSET:
-            continue
-        _warn_legacy(func, name)
-        overrides[name] = value
-    return replace(base, **overrides) if overrides else base
 
 
 # ---------------------------------------------------------------------- #

@@ -30,10 +30,8 @@ effects is modelled explicitly:
   per-node NICs) with busy-until bookkeeping, dependency-ordered task
   booking, per-resource utilisation and a Chrome-trace-exportable event
   trace.  The stream pipeline, the cluster collectives and the serving
-  scheduler all book time on it.
-* :mod:`~repro.gpusim.streams` — compatibility shim re-exporting the
-  multi-stream transfer/compute overlap pipeline, which now lives in
-  :mod:`~repro.gpusim.timeline`.
+  scheduler all book time on it.  It also holds the multi-stream
+  transfer/compute overlap pipeline of the out-of-core path.
 * :mod:`~repro.gpusim.timing` — conversion of a counter ledger into
   estimated kernel time on a device.
 """

@@ -28,16 +28,21 @@ Tensors larger than device memory execute out-of-core
 ``threadlen``-aligned boundaries and pipelined through PCIe on multiple CUDA
 streams, overlapping each chunk's copy with the previous chunk's kernel.
 
-With a :class:`~repro.gpusim.cluster.ClusterSpec` (or ``devices=N``) the
-same stream shards across a simulated multi-GPU node
+With ``ctx=ExecContext(cluster=...)`` (or ``devices=N``) the same stream
+shards across a simulated multi-GPU node
 (:mod:`repro.kernels.unified.sharded`): each shard runs on its own device —
 streaming per-device when it still does not fit — and the partial outputs
 merge through a modeled collective.
+
+:func:`run_unified` runs the kernel of a given
+:class:`~repro.formats.mode_encoding.OperationKind` from the full per-mode
+factor list.
 """
 
 from repro.kernels.unified.spttm import plan_spttm, unified_spttm
 from repro.kernels.unified.spmttkrp import plan_spmttkrp, unified_spmttkrp
 from repro.kernels.unified.spttmc import plan_spttmc, unified_spttmc
+from repro.kernels.unified.dispatch import run_unified
 from repro.kernels.unified.streaming import (
     ChunkLedger,
     StreamedExecution,
@@ -57,6 +62,7 @@ __all__ = [
     "unified_spttm",
     "unified_spmttkrp",
     "unified_spttmc",
+    "run_unified",
     "plan_spttm",
     "plan_spmttkrp",
     "plan_spttmc",

@@ -12,21 +12,21 @@ updates.  The implementation generalises to any order (the Hadamard product
 simply runs over all product modes) and any target mode.
 
 When the operands exceed device memory the kernel falls back to (or is
-forced onto, via ``streamed=True``) the out-of-core path of
-:mod:`repro.kernels.unified.streaming`: the non-zero stream is chunked on
-``threadlen``-aligned boundaries, chunks are pipelined through PCIe on
-``num_streams`` CUDA streams, and the per-chunk slice sums merge into the
+forced onto, via ``ctx=ExecContext(streamed=True)``) the out-of-core path
+of :mod:`repro.kernels.unified.streaming`: the non-zero stream is chunked
+on ``threadlen``-aligned boundaries, chunks are pipelined through PCIe on
+``ctx.num_streams`` CUDA streams, and the per-chunk slice sums merge into the
 same output the one-shot kernel produces.
 """
 
 from __future__ import annotations
 
-from typing import Any, Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.backends import Backend, get_backend
-from repro.context import UNSET, ExecContext, resolve_context
+from repro.context import DEFAULT_CONTEXT, ExecContext
 from repro.formats.fcoo import FCOOTensor
 from repro.formats.mode_encoding import OperationKind
 from repro.gpusim.counters import KernelProfile
@@ -99,7 +99,7 @@ def plan_spmttkrp(
         block_size=block_size,
         threadlen=threadlen,
         fused=fused,
-        ctx=ctx if ctx is not None else ExecContext(),
+        ctx=ctx if ctx is not None else DEFAULT_CONTEXT,
     )
 
 
@@ -124,11 +124,6 @@ def unified_spmttkrp(
     block_size: int = 128,
     threadlen: int = 8,
     fused: bool = True,
-    streamed: Any = UNSET,
-    num_streams: Any = UNSET,
-    chunk_nnz: Any = UNSET,
-    cluster: Any = UNSET,
-    devices: Any = UNSET,
     ctx: Optional[ExecContext] = None,
 ) -> MTTKRPResult:
     """Compute MTTKRP with the unified F-COO algorithm.
@@ -150,9 +145,6 @@ def unified_spmttkrp(
         The :class:`~repro.context.ExecContext` carrying the out-of-core
         (``streamed`` / ``num_streams`` / ``chunk_nnz``) and multi-GPU
         (``cluster`` / ``devices``) controls.
-    streamed, num_streams, chunk_nnz, cluster, devices:
-        Deprecated aliases for the matching ``ctx`` fields; still honored
-        (they override ``ctx``) but warn once per parameter.
 
     Returns
     -------
@@ -161,15 +153,7 @@ def unified_spmttkrp(
         (``profile.streaming`` holds the per-chunk ledger on the streamed
         path).
     """
-    ctx = resolve_context(
-        "unified_spmttkrp",
-        ctx,
-        streamed=streamed,
-        num_streams=num_streams,
-        chunk_nnz=chunk_nnz,
-        cluster=cluster,
-        devices=devices,
-    )
+    ctx = ctx if ctx is not None else DEFAULT_CONTEXT
     backend_impl = get_backend(ctx.backend)
     fcoo = encode_for(tensor, OperationKind.SPMTTKRP, mode)
 

@@ -16,28 +16,26 @@ Algorithm (paper Section IV-D, Figure 4):
 
 Tensors whose F-COO footprint exceeds device memory execute out-of-core via
 :mod:`repro.kernels.unified.streaming` (automatically, or on request with
-``streamed=True``): the non-zero stream is chunked on ``threadlen``-aligned
-boundaries, the per-chunk fiber partials merge by global segment id, and the
-cost model overlaps each chunk's PCIe copy with the previous chunk's kernel.
+``ctx=ExecContext(streamed=True)``): the non-zero stream is chunked on
+``threadlen``-aligned boundaries, the per-chunk fiber partials merge by
+global segment id, and the cost model overlaps each chunk's PCIe copy with
+the previous chunk's kernel.
 """
 
 from __future__ import annotations
 
-from typing import Any, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
 from repro.backends import Backend, get_backend
-from repro.context import UNSET, ExecContext, resolve_context
+from repro.context import DEFAULT_CONTEXT, ExecContext
 from repro.formats.fcoo import FCOOTensor
 from repro.formats.mode_encoding import OperationKind
 from repro.formats.semisparse import SemiSparseTensor
 from repro.gpusim.counters import KernelProfile
 from repro.gpusim.device import DeviceSpec, TITAN_X
-from repro.gpusim.launch import LaunchConfig
-from repro.gpusim.timing import profile_from_counters
 from repro.kernels.common import SpTTMResult, validate_factor
-from repro.kernels.unified._model import unified_kernel_counters
 from repro.kernels.unified.plan import (
     UnifiedCost,
     encode_for,
@@ -71,15 +69,9 @@ def plan_spttm(
     """The profile :func:`unified_spttm` reports for ``fcoo`` and a rank-``rank``
     factor, priced without any value arithmetic (see
     :mod:`repro.kernels.unified.plan`)."""
-    ctx = ctx if ctx is not None else ExecContext()
-    name = f"unified-spttm-mode{fcoo.mode}"
-    if fcoo.nnz == 0:
-        launch = LaunchConfig(block_size=block_size, grid_x=1, grid_y=rank, threadlen=threadlen)
-        counters = unified_kernel_counters(fcoo, rank, 0, rank, launch, device, fused=fused)
-        return profile_from_counters(name, counters, launch, device)
     num_segments = fcoo.num_segments
     cost = UnifiedCost(
-        name=name,
+        name=f"unified-spttm-mode{fcoo.mode}",
         rank=rank,
         output_width=rank,
         flops_per_nnz_per_column=2.0,
@@ -97,7 +89,7 @@ def plan_spttm(
         block_size=block_size,
         threadlen=threadlen,
         fused=fused,
-        ctx=ctx,
+        ctx=ctx if ctx is not None else DEFAULT_CONTEXT,
     )
 
 
@@ -110,11 +102,6 @@ def unified_spttm(
     block_size: int = 128,
     threadlen: int = 8,
     fused: bool = True,
-    streamed: Any = UNSET,
-    num_streams: Any = UNSET,
-    chunk_nnz: Any = UNSET,
-    cluster: Any = UNSET,
-    devices: Any = UNSET,
     ctx: Optional[ExecContext] = None,
 ) -> SpTTMResult:
     """Compute SpTTM with the unified F-COO algorithm on the simulated GPU.
@@ -138,38 +125,10 @@ def unified_spttm(
         default); ``False`` models the unfused variant for the ablation
         benchmark.
     ctx:
-        The :class:`~repro.context.ExecContext` carrying the execution
-        controls described below.
-    streamed:
-        ``None`` (default) auto-selects: one-shot when the operands fit in
-        device memory, out-of-core streaming otherwise.  ``True`` forces
-        streaming, ``False`` forces one-shot (raising
-        :class:`~repro.gpusim.timing.OutOfDeviceMemory` when it does not
-        fit).  An empty tensor always takes the one-shot path.
-    num_streams:
-        CUDA streams (in-flight chunk buffers) for the streamed path; 1
-        disables the transfer/compute overlap.
-    chunk_nnz:
-        Non-zeros per streamed chunk (must be at least ``threadlen``;
-        rounded down to a ``threadlen`` multiple); ``None`` sizes chunks to
-        fill the device memory budget.
-    cluster:
-        Optional :class:`~repro.gpusim.cluster.ClusterSpec` or
-        :class:`~repro.gpusim.cluster.MultiNodeClusterSpec`: the non-zero
-        stream shards across its devices on ``threadlen``-aligned
-        boundaries, each shard runs on its own device (falling back to the
-        streamed path per-device when it does not fit); the semi-sparse
-        output stays partitioned across the devices and only the fibers
-        straddling a shard boundary exchange with a neighbour
-        (``profile.sharded`` carries the per-device ledger).
-    devices:
-        Shorthand for ``cluster``: a device count > 1 builds a homogeneous
-        cluster of ``device``.  Mutually consistent with ``cluster``.
-
-    ``streamed`` / ``num_streams`` / ``chunk_nnz`` / ``cluster`` /
-    ``devices`` as direct kwargs are deprecated aliases for the matching
-    ``ctx`` fields: still honored (they override ``ctx``) but each warns
-    once.
+        The :class:`~repro.context.ExecContext` carrying the out-of-core
+        (``streamed`` / ``num_streams`` / ``chunk_nnz``) and multi-GPU
+        (``cluster`` / ``devices``) controls; ``None`` means
+        :data:`~repro.context.DEFAULT_CONTEXT`.
 
     Returns
     -------
@@ -178,15 +137,7 @@ def unified_spttm(
         (``profile.streaming`` holds the per-chunk ledger on the streamed
         path).
     """
-    ctx = resolve_context(
-        "unified_spttm",
-        ctx,
-        streamed=streamed,
-        num_streams=num_streams,
-        chunk_nnz=chunk_nnz,
-        cluster=cluster,
-        devices=devices,
-    )
+    ctx = ctx if ctx is not None else DEFAULT_CONTEXT
     backend_impl = get_backend(ctx.backend)
     fcoo = encode_for(tensor, OperationKind.SPTTM, mode)
     matrix = validate_factor(matrix, fcoo.shape[fcoo.mode], "matrix")

@@ -18,12 +18,12 @@ claims.
 from __future__ import annotations
 
 import math
-from typing import Any, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from repro.backends import Backend, get_backend
-from repro.context import UNSET, ExecContext, resolve_context
+from repro.context import DEFAULT_CONTEXT, ExecContext
 from repro.formats.fcoo import FCOOTensor
 from repro.formats.mode_encoding import OperationKind
 from repro.gpusim.counters import KernelProfile
@@ -90,7 +90,7 @@ def plan_spttmc(
         block_size=block_size,
         threadlen=threadlen,
         fused=fused,
-        ctx=ctx if ctx is not None else ExecContext(),
+        ctx=ctx if ctx is not None else DEFAULT_CONTEXT,
     )
 
 
@@ -103,11 +103,6 @@ def unified_spttmc(
     block_size: int = 128,
     threadlen: int = 8,
     fused: bool = True,
-    streamed: Any = UNSET,
-    num_streams: Any = UNSET,
-    chunk_nnz: Any = UNSET,
-    cluster: Any = UNSET,
-    devices: Any = UNSET,
     ctx: Optional[ExecContext] = None,
 ) -> TTMcResult:
     """Compute TTMc with the unified F-COO algorithm on the simulated GPU.
@@ -128,9 +123,6 @@ def unified_spttmc(
         (``cluster`` / ``devices``) controls, as in
         :func:`repro.kernels.unified.spttm.unified_spttm` (the partial
         unfoldings merge through a modeled ring all-reduce).
-    streamed, num_streams, chunk_nnz, cluster, devices:
-        Deprecated aliases for the matching ``ctx`` fields; still honored
-        (they override ``ctx``) but warn once per parameter.
 
     Returns
     -------
@@ -139,15 +131,7 @@ def unified_spttmc(
         (``profile.streaming`` holds the per-chunk ledger on the streamed
         path).
     """
-    ctx = resolve_context(
-        "unified_spttmc",
-        ctx,
-        streamed=streamed,
-        num_streams=num_streams,
-        chunk_nnz=chunk_nnz,
-        cluster=cluster,
-        devices=devices,
-    )
+    ctx = ctx if ctx is not None else DEFAULT_CONTEXT
     backend_impl = get_backend(ctx.backend)
     fcoo = encode_for(tensor, OperationKind.SPTTMC, mode)
 

@@ -23,9 +23,7 @@ from repro.algorithms.cp import UnifiedGPUEngine, cp_als
 from repro.algorithms.tucker import tucker_hooi
 from repro.context import ExecContext
 from repro.formats.fcoo import FCOOTensor
-from repro.kernels.unified.spmttkrp import unified_spmttkrp
-from repro.kernels.unified.spttm import unified_spttm
-from repro.kernels.unified.spttmc import unified_spttmc
+from repro.kernels.unified.dispatch import run_unified
 from repro.serve.job import Job, JobKind
 from repro.serve.placement import Placement
 
@@ -111,19 +109,16 @@ def execute_job(
     if job.kind.is_kernel:
         if encoding is None:
             encoding = FCOOTensor.from_sparse(job.tensor, job.operation, job.mode)
-        factors = job.factors()
-        kwargs = dict(
+        result = run_unified(
+            job.operation,
+            encoding,
+            job.factors(),
+            job.mode,
             device=placement.primary_device,
             block_size=placement.block_size,
             threadlen=placement.threadlen,
             ctx=ctx,
         )
-        if job.kind is JobKind.SPTTM:
-            result = unified_spttm(encoding, factors[job.mode], job.mode, **kwargs)
-        elif job.kind is JobKind.SPMTTKRP:
-            result = unified_spmttkrp(encoding, factors, job.mode, **kwargs)
-        else:
-            result = unified_spttmc(encoding, factors, job.mode, **kwargs)
         profile = result.profile
         if getattr(profile, "sharded", None) is not None:
             execution = "sharded"

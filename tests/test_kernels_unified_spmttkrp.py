@@ -54,6 +54,9 @@ class TestCorrectness:
         result = unified_spmttkrp(empty, factors, 0)
         assert result.output.shape == (4, 2)
         assert (result.output == 0).all()
+        # The footprint is the resident operands: the float32 product-mode
+        # factors (5 x 2, 6 x 2) and the output (4 x 2).
+        assert result.profile.device_memory_bytes == (5 * 2 + 6 * 2 + 4 * 2) * 4
 
     def test_output_rows_without_nonzeros_are_zero(self):
         coords = np.array([[0, 0, 0], [0, 1, 1]])

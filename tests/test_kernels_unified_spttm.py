@@ -48,6 +48,9 @@ class TestCorrectness:
         result = unified_spttm(SparseTensor.empty((4, 5, 6)), np.ones((6, 3)), 2)
         assert result.output.num_fibers == 0
         assert result.estimated_time_s >= 0
+        # The footprint is the resident operands, as for the other kernels:
+        # the float32 factor U (6 x 3) and no output fibers.
+        assert result.profile.device_memory_bytes == 6 * 3 * 4
 
     def test_rank_one_matrix(self, small_tensor):
         u = np.ones((small_tensor.shape[2], 1))

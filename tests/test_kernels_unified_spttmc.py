@@ -64,6 +64,9 @@ class TestCorrectness:
         result = unified_spttmc(empty, factors, 0)
         assert result.output.shape == (3, 4)
         assert (result.output == 0).all()
+        # The footprint is the resident operands: the float32 product-mode
+        # factors (4 x 2, 5 x 2) and the output unfolding (3 x 4).
+        assert result.profile.device_memory_bytes == (4 * 2 + 5 * 2 + 3 * 4) * 4
 
 
 class TestProfile:

@@ -26,6 +26,7 @@ from repro.algorithms.tucker import tucker_hooi
 from repro.bench.multinode import run_multinode_scaling
 from repro.bench.regression import _multinode_metrics
 from repro.cli import main as cli_main
+from repro.context import ExecContext
 from repro.formats.fcoo import FCOOTensor
 from repro.gpusim.cluster import (
     ClusterSpec,
@@ -283,7 +284,7 @@ class TestHierarchicalCollectives:
         )
         tensor = CASES["single-segment"]()  # one fiber: every boundary carries
         factors = [np.asarray(f) for f in random_factors(tensor.shape, RANK, seed=5)]
-        result = run_kernel(unified_spttm, tensor, factors, 2, cluster=cluster)
+        result = run_kernel(unified_spttm, tensor, factors, 2, ctx=ExecContext(cluster=cluster))
         execution = result.profile.sharded
         assert execution is not None and execution.reduction_kind == "boundary"
         # The feeble device (flat slot 1) got no partitions; slots 0 and 2
@@ -296,7 +297,7 @@ class TestHierarchicalCollectives:
         )
         assert execution.reduction_time_s == pytest.approx(expected)
         # Bit identity still holds with the placeholder in the middle.
-        one_shot = run_kernel(unified_spttm, tensor, factors, 2, streamed=False)
+        one_shot = run_kernel(unified_spttm, tensor, factors, 2, ctx=ExecContext(streamed=False))
         assert result.output.allclose(one_shot.output)
 
 
@@ -362,8 +363,8 @@ class TestMultiNodeEqualsOneShot:
         mode = tensor.order - 1 if kernel is unified_spttm else 0
         cluster = two_tier(num_nodes, 2)
 
-        one_shot = run_kernel(kernel, tensor, factors, mode, streamed=False)
-        multi = run_kernel(kernel, tensor, factors, mode, cluster=cluster)
+        one_shot = run_kernel(kernel, tensor, factors, mode, ctx=ExecContext(streamed=False))
+        multi = run_kernel(kernel, tensor, factors, mode, ctx=ExecContext(cluster=cluster))
         reference = run_reference(kernel, tensor, factors, mode)
 
         if kernel is unified_spttm:
@@ -380,8 +381,8 @@ class TestMultiNodeEqualsOneShot:
         tensor = CASES["boundary-straddle"]()
         factors = [np.asarray(f) for f in random_factors(tensor.shape, RANK, seed=5)]
         cluster = two_tier(4, 1)  # every shard boundary is a node boundary
-        one_shot = run_kernel(unified_spmttkrp, tensor, factors, 0, streamed=False)
-        multi = run_kernel(unified_spmttkrp, tensor, factors, 0, cluster=cluster)
+        one_shot = run_kernel(unified_spmttkrp, tensor, factors, 0, ctx=ExecContext(streamed=False))
+        multi = run_kernel(unified_spmttkrp, tensor, factors, 0, ctx=ExecContext(cluster=cluster))
         execution = multi.profile.sharded
         assert execution is not None
         assert any(s.carries_in for s in execution.shards)
@@ -393,7 +394,7 @@ class TestMultiNodeEqualsOneShot:
         tensor = CASES["order3-power"]()
         factors = [np.asarray(f) for f in random_factors(tensor.shape, RANK, seed=5)]
         cluster = two_tier(2, 2)
-        mttkrp = run_kernel(unified_spmttkrp, tensor, factors, 0, cluster=cluster)
+        mttkrp = run_kernel(unified_spmttkrp, tensor, factors, 0, ctx=ExecContext(cluster=cluster))
         execution = mttkrp.profile.sharded
         assert execution.reduction_kind == "allreduce"
         assert execution.reduction_time_s == pytest.approx(
@@ -402,7 +403,7 @@ class TestMultiNodeEqualsOneShot:
         assert execution.reduction_time_s <= cluster.flat_allreduce_time(
             execution.reduction_bytes
         )
-        spttm = run_kernel(unified_spttm, tensor, factors, 2, cluster=cluster)
+        spttm = run_kernel(unified_spttm, tensor, factors, 2, ctx=ExecContext(cluster=cluster))
         assert spttm.profile.sharded.reduction_kind == "boundary"
 
     def test_streamed_fallback_shard_on_multinode(self):
@@ -425,7 +426,7 @@ class TestMultiNodeEqualsOneShot:
             0,
             block_size=BLOCK_SIZE,
             threadlen=THREADLEN,
-            cluster=cluster,
+            ctx=ExecContext(cluster=cluster),
         )
         execution = multi.profile.sharded
         assert execution is not None and execution.has_streaming_shards
@@ -441,7 +442,7 @@ class TestMultiNodeEqualsOneShot:
             compute_fit=False,
         )
         multi = cp_als(
-            tensor, 4, engine=UnifiedGPUEngine(cluster=cluster), max_iterations=2,
+            tensor, 4, engine=UnifiedGPUEngine(ctx=ExecContext(cluster=cluster)), max_iterations=2,
             seed=0, compute_fit=False,
         )
         for single_f, multi_f in zip(single.factors, multi.factors):
@@ -454,7 +455,7 @@ class TestMultiNodeEqualsOneShot:
         tensor = CASES["order3-power"]()
         single = tucker_hooi(tensor, (3, 3, 3), max_iterations=1, seed=0)
         multi = tucker_hooi(
-            tensor, (3, 3, 3), max_iterations=1, seed=0, cluster=two_tier(2, 2)
+            tensor, (3, 3, 3), max_iterations=1, seed=0, ctx=ExecContext(cluster=two_tier(2, 2))
         )
         for single_f, multi_f in zip(single.factors, multi.factors):
             np.testing.assert_allclose(single_f, multi_f, rtol=1e-9, atol=1e-12)
@@ -473,13 +474,13 @@ class TestMultiNodeEqualsOneShot:
         """Hypothesis sweep: arbitrary tensors x node topologies agree."""
         tensor = random_sparse_tensor(dims, nnz, seed=seed)
         factors = [np.asarray(f) for f in random_factors(dims, RANK, seed=seed)]
-        one_shot = run_kernel(unified_spmttkrp, tensor, factors, 0, streamed=False)
+        one_shot = run_kernel(unified_spmttkrp, tensor, factors, 0, ctx=ExecContext(streamed=False))
         multi = run_kernel(
             unified_spmttkrp,
             tensor,
             factors,
             0,
-            cluster=two_tier(num_nodes, devices_per_node),
+            ctx=ExecContext(cluster=two_tier(num_nodes, devices_per_node)),
         )
         np.testing.assert_allclose(
             multi.output, one_shot.output, rtol=1e-10, atol=1e-12

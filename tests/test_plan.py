@@ -28,9 +28,8 @@ from repro.gpusim.device import TITAN_X, scaled_device
 from repro.gpusim.timing import OutOfDeviceMemory
 from repro.kernels.unified import (
     partition_shards,
-    unified_spmttkrp,
+    run_unified,
     unified_spttm,
-    unified_spttmc,
 )
 from repro.kernels.unified.sharded import partition_for_cluster
 from repro.tensor.random import random_factors
@@ -79,14 +78,17 @@ def executed_grid(
             ),
             backend=backend,
         )
-        kwargs = dict(device=device, block_size=BLOCK_SIZES[i], threadlen=THREADLENS[j], ctx=ctx)
         try:
-            if operation is OperationKind.SPTTM:
-                result = unified_spttm(tensor, factors[mode], mode, **kwargs)
-            elif operation is OperationKind.SPMTTKRP:
-                result = unified_spmttkrp(tensor, factors, mode, **kwargs)
-            else:
-                result = unified_spttmc(tensor, factors, mode, **kwargs)
+            result = run_unified(
+                operation,
+                tensor,
+                factors,
+                mode,
+                device=device,
+                block_size=BLOCK_SIZES[i],
+                threadlen=THREADLENS[j],
+                ctx=ctx,
+            )
             grid[index] = result.estimated_time_s
         except OutOfDeviceMemory:
             grid[index] = np.inf

@@ -28,6 +28,7 @@ from repro.algorithms.tucker import tucker_hooi
 from repro.bench.regression import _serving_metrics
 from repro.bench.serving import run_serving
 from repro.cli import main as cli_main
+from repro.context import ExecContext
 from repro.formats.fcoo import FCOOTensor
 from repro.formats.semisparse import SemiSparseTensor
 from repro.gpusim.cluster import ClusterSpec, InterconnectSpec, PCIE3_P2P
@@ -241,7 +242,7 @@ class TestWeightedPartition:
         factors = job.factors()
         cluster = hetero_cluster(big_mem=1 << 30, small_mem=1 << 29)
         kernel = KERNEL_KINDS[kind]
-        sharded = run_kernel(kernel, tensor, factors, 0, cluster=cluster)
+        sharded = run_kernel(kernel, tensor, factors, 0, ctx=ExecContext(cluster=cluster))
         one_shot = run_kernel(kernel, tensor, factors, 0)
         execution = sharded.profile.sharded
         assert execution is not None
@@ -671,7 +672,7 @@ class TestServingBitIdentity:
         # The recorded placement is the whole cluster, so the direct
         # cluster call reproduces it exactly too.
         direct = run_kernel(
-            unified_spmttkrp, tensor, job.factors(), 0, cluster=cluster
+            unified_spmttkrp, tensor, job.factors(), 0, ctx=ExecContext(cluster=cluster)
         )
         assert_same_output(result.output, direct.output)
         assert_close_to_reference(result.output, job)
@@ -783,7 +784,7 @@ class TestDecompositionJobs:
         tensor = CASES["order3-uniform"]()
         cache = PreprocCache()
         cached_engine = UnifiedGPUEngine(
-            block_size=BLOCK_SIZE, threadlen=THREADLEN, preproc_cache=cache
+            block_size=BLOCK_SIZE, threadlen=THREADLEN, ctx=ExecContext(preproc_cache=cache)
         )
         first = cp_als(tensor, RANK, engine=cached_engine, max_iterations=2, seed=1)
         assert cache.stats.encode_misses == tensor.order
@@ -812,7 +813,7 @@ class TestDecompositionJobs:
             seed=2,
             block_size=BLOCK_SIZE,
             threadlen=THREADLEN,
-            preproc_cache=cache,
+            ctx=ExecContext(preproc_cache=cache),
         )
         # One miss per mode, then every later sweep hits.
         assert cache.stats.encode_misses == tensor.order

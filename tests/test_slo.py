@@ -13,15 +13,13 @@ Four pillars:
     exceeds FIFO's on the same workload, and with no SLOs in play it
     degenerates bit-identically to the ``"priority"`` policy (zero extra
     RNG draws, zero preemptions);
-(d) **one context API** — every kernel/driver accepts
-    ``ctx=ExecContext(...)``, the legacy kwargs are equivalent deprecated
-    aliases that warn exactly once per call site, and every run result
-    speaks the :class:`~repro.context.TimedResult` protocol.
+(d) **one context API** — ``ctx=ExecContext(...)`` is the only way to
+    pass an execution control to a kernel or driver (the removed keyword
+    aliases raise ``TypeError``), and every run result speaks the
+    :class:`~repro.context.TimedResult` protocol.
 """
 
 from __future__ import annotations
-
-import warnings
 
 import numpy as np
 import pytest
@@ -33,7 +31,6 @@ from repro.context import (
     SLO,
     ExecContext,
     TimedResult,
-    reset_deprecation_registry,
 )
 from repro.gpusim.cluster import ETHERNET_10G, MultiNodeClusterSpec, NodeFailure
 from repro.gpusim.timeline import Timeline, device_copy_key
@@ -444,99 +441,55 @@ class TestOverlapStaging:
 
 
 # ---------------------------------------------------------------------- #
-# (d) ExecContext equivalence and the TimedResult protocol
+# (d) The ExecContext surface and the TimedResult protocol
 # ---------------------------------------------------------------------- #
-KERNELS = {
-    "spttm": unified_spttm,
-    "spmttkrp": unified_spmttkrp,
-    "spttmc": unified_spttmc,
+_KERNEL_ALIASES = ("streamed", "num_streams", "chunk_nnz", "cluster", "devices")
+
+#: Each entry point, called on a small tensor, with the keyword arguments
+#: it used to accept as aliases of ``ExecContext`` fields.
+ENTRY_POINTS = {
+    "unified_spttm": (
+        lambda tensor, factors, **kw: unified_spttm(tensor, factors[0], 0, **kw),
+        _KERNEL_ALIASES,
+    ),
+    "unified_spmttkrp": (
+        lambda tensor, factors, **kw: unified_spmttkrp(tensor, factors, 0, **kw),
+        _KERNEL_ALIASES,
+    ),
+    "unified_spttmc": (
+        lambda tensor, factors, **kw: unified_spttmc(tensor, factors, 0, **kw),
+        _KERNEL_ALIASES,
+    ),
+    "cp_als": (
+        lambda tensor, factors, **kw: cp_als(tensor, 2, max_iterations=1, **kw),
+        ("overlap_modes", "chaos"),
+    ),
+    "tucker_hooi": (
+        lambda tensor, factors, **kw: tucker_hooi(tensor, (2, 2, 2), max_iterations=1, **kw),
+        ("cluster", "devices", "preproc_cache", "chaos"),
+    ),
+    "UnifiedGPUEngine": (
+        lambda tensor, factors, **kw: UnifiedGPUEngine(**kw),
+        _KERNEL_ALIASES + ("preproc_cache",),
+    ),
 }
 
 
+class TestRemovedAliases:
+    @pytest.mark.parametrize(
+        "entry, alias",
+        [(entry, alias) for entry, (_, aliases) in ENTRY_POINTS.items() for alias in aliases],
+    )
+    def test_removed_alias_raises_type_error(self, entry, alias):
+        """``ctx`` is the only spelling of an execution control."""
+        call, _ = ENTRY_POINTS[entry]
+        tensor = random_sparse_tensor((6, 5, 4), nnz=20, seed=1)
+        factors = [np.asarray(f) for f in random_factors(tensor.shape, 2, seed=0)]
+        with pytest.raises(TypeError, match=alias):
+            call(tensor, factors, **{alias: getattr(DEFAULT_CONTEXT, alias)})
+
+
 class TestExecContextEquivalence:
-    def setup_method(self):
-        reset_deprecation_registry()
-
-    def teardown_method(self):
-        reset_deprecation_registry()
-
-    def _call(self, name, tensor, factors, **kwargs):
-        kernel = KERNELS[name]
-        if name == "spttm":
-            return kernel(tensor, factors[1], 1, **kwargs)
-        return kernel(tensor, factors, 1, **kwargs)
-
-    @pytest.mark.parametrize("name", sorted(KERNELS))
-    def test_kernel_ctx_equals_legacy_kwargs(self, name):
-        tensor = random_sparse_tensor((30, 25, 20), nnz=600, seed=4)
-        factors = [np.asarray(f) for f in random_factors(tensor.shape, 6, seed=0)]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = self._call(
-                name, tensor, factors, streamed=True, num_streams=3
-            )
-        via_ctx = self._call(
-            name, tensor, factors, ctx=ExecContext(streamed=True, num_streams=3)
-        )
-        assert_same_output(via_ctx.output, legacy.output)
-        assert via_ctx.estimated_time_s == legacy.estimated_time_s
-
-    def test_legacy_kwarg_warns_once_per_parameter(self):
-        tensor = random_sparse_tensor((20, 15, 10), nnz=200, seed=2)
-        factors = [np.asarray(f) for f in random_factors(tensor.shape, 4, seed=0)]
-        with pytest.warns(DeprecationWarning) as record:
-            unified_spmttkrp(tensor, factors, 0, streamed=True, num_streams=3)
-        messages = [str(w.message) for w in record]
-        assert any("streamed" in m for m in messages)
-        assert any("num_streams" in m for m in messages)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            # Second use of the same (function, parameter) pair: silent.
-            unified_spmttkrp(tensor, factors, 0, streamed=True, num_streams=3)
-
-    def test_legacy_kwarg_overrides_ctx_field(self):
-        tensor = random_sparse_tensor((20, 15, 10), nnz=200, seed=2)
-        factors = [np.asarray(f) for f in random_factors(tensor.shape, 4, seed=0)]
-        ctx = ExecContext(streamed=True, num_streams=2)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            overridden = unified_spmttkrp(
-                tensor, factors, 0, ctx=ctx, num_streams=4
-            )
-        explicit = unified_spmttkrp(
-            tensor, factors, 0, ctx=ExecContext(streamed=True, num_streams=4)
-        )
-        assert overridden.estimated_time_s == explicit.estimated_time_s
-
-    def test_cp_and_tucker_ctx_equals_legacy(self):
-        tensor = random_sparse_tensor((40, 30, 20), nnz=800, seed=6)
-        cluster = MultiNodeClusterSpec.homogeneous(
-            num_nodes=2, devices_per_node=2, nic=ETHERNET_10G
-        )
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy_cp = cp_als(
-                tensor, 6,
-                engine=UnifiedGPUEngine(cluster=cluster),
-                max_iterations=2, compute_fit=False,
-            )
-            legacy_tk = tucker_hooi(tensor, (4, 4, 4), cluster=cluster, max_iterations=2)
-        ctx_cp = cp_als(
-            tensor, 6,
-            engine=UnifiedGPUEngine(ctx=ExecContext(cluster=cluster)),
-            max_iterations=2, compute_fit=False,
-        )
-        ctx_tk = tucker_hooi(
-            tensor, (4, 4, 4), ctx=ExecContext(cluster=cluster), max_iterations=2
-        )
-        for a, b in zip(legacy_cp.factors, ctx_cp.factors):
-            assert np.array_equal(a, b)
-        assert legacy_cp.makespan_s == ctx_cp.makespan_s
-        for a, b in zip(legacy_tk.factors, ctx_tk.factors):
-            assert np.array_equal(a, b)
-        assert np.array_equal(legacy_tk.core, ctx_tk.core)
-        assert legacy_tk.makespan_s == ctx_tk.makespan_s
-
     def test_context_validation_and_evolve(self):
         with pytest.raises(ValueError):
             ExecContext(num_streams=0)

@@ -18,10 +18,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.algorithms.cp import UnifiedGPUEngine, cp_als
+from repro.context import ExecContext
 from repro.formats.fcoo import FCOOTensor
 from repro.formats.mode_encoding import OperationKind
 from repro.gpusim.device import TITAN_X, scaled_device
-from repro.gpusim.streams import ChunkTiming, pipeline_time, schedule_chunks
+from repro.gpusim.timeline import ChunkTiming, pipeline_time, schedule_chunks
 from repro.gpusim.timing import OutOfDeviceMemory
 from repro.kernels.reference import reference_mttkrp, reference_spttm, reference_ttmc
 from repro.kernels.unified import (
@@ -203,9 +204,10 @@ class TestChunkedEqualsOneShot:
         factors = [np.asarray(f) for f in random_factors(tensor.shape, RANK, seed=5)]
         mode = tensor.order - 1 if kernel is unified_spttm else 0
 
-        one_shot = run_kernel(kernel, tensor, factors, mode, streamed=False)
+        one_shot = run_kernel(kernel, tensor, factors, mode, ctx=ExecContext(streamed=False))
         streamed = run_kernel(
-            kernel, tensor, factors, mode, streamed=True, chunk_nnz=CHUNK_NNZ
+            kernel, tensor, factors, mode,
+            ctx=ExecContext(streamed=True, chunk_nnz=CHUNK_NNZ),
         )
         reference = run_reference(kernel, tensor, factors, mode)
 
@@ -229,9 +231,10 @@ class TestChunkedEqualsOneShot:
         factors = [np.asarray(f) for f in random_factors(tensor.shape, RANK, seed=5)]
         mode = tensor.order - 1 if kernel is unified_spttm else 0
 
-        one_shot = run_kernel(kernel, tensor, factors, mode, streamed=False)
+        one_shot = run_kernel(kernel, tensor, factors, mode, ctx=ExecContext(streamed=False))
         streamed = run_kernel(
-            kernel, tensor, factors, mode, streamed=True, chunk_nnz=CHUNK_NNZ
+            kernel, tensor, factors, mode,
+            ctx=ExecContext(streamed=True, chunk_nnz=CHUNK_NNZ),
         )
         execution = streamed.profile.streaming
         assert execution is not None
@@ -328,19 +331,21 @@ class TestChunkedEqualsOneShot:
         with pytest.raises(ValueError, match="at least threadlen"):
             unified_spmttkrp(
                 tensor, factors, 0, threadlen=THREADLEN,
-                streamed=True, chunk_nnz=THREADLEN - 1,
+                ctx=ExecContext(streamed=True, chunk_nnz=THREADLEN - 1),
             )
         # At or above threadlen it rounds down to a threadlen multiple.
         result = unified_spmttkrp(
             tensor, factors, 0, threadlen=THREADLEN,
-            streamed=True, chunk_nnz=THREADLEN + 3,
+            ctx=ExecContext(streamed=True, chunk_nnz=THREADLEN + 3),
         )
         assert result.profile.streaming.chunk_nnz == THREADLEN
 
     def test_forced_streaming_on_empty_tensor_degrades_to_one_shot(self):
         tensor = SparseTensor.empty((5, 6, 7))
         factors = [np.asarray(f) for f in random_factors(tensor.shape, RANK, seed=5)]
-        result = unified_spmttkrp(tensor, factors, 0, streamed=True, chunk_nnz=CHUNK_NNZ)
+        result = unified_spmttkrp(
+            tensor, factors, 0, ctx=ExecContext(streamed=True, chunk_nnz=CHUNK_NNZ)
+        )
         assert result.profile.streaming is None
         np.testing.assert_array_equal(result.output, np.zeros((5, RANK)))
 
@@ -363,7 +368,9 @@ class TestOverCapacityExecution:
     def test_one_shot_raises_out_of_device_memory(self, tensor, tiny_device):
         factors = [np.asarray(f) for f in random_factors(tensor.shape, 4, seed=7)]
         with pytest.raises(OutOfDeviceMemory):
-            unified_spmttkrp(tensor, factors, 0, device=tiny_device, streamed=False)
+            unified_spmttkrp(
+                tensor, factors, 0, device=tiny_device, ctx=ExecContext(streamed=False)
+            )
 
     def test_auto_fallback_streams_and_matches_reference(self, tensor, tiny_device):
         factors = [np.asarray(f) for f in random_factors(tensor.shape, 4, seed=7)]
@@ -378,7 +385,9 @@ class TestOverCapacityExecution:
 
     def test_streamed_time_strictly_between_overlap_bounds(self, tensor, tiny_device):
         factors = [np.asarray(f) for f in random_factors(tensor.shape, 4, seed=7)]
-        result = unified_spmttkrp(tensor, factors, 0, device=tiny_device, num_streams=2)
+        result = unified_spmttkrp(
+            tensor, factors, 0, device=tiny_device, ctx=ExecContext(num_streams=2)
+        )
         schedule = result.profile.streaming.schedule
         assert schedule.ideal_time_s < schedule.total_time_s < schedule.serial_time_s
 
@@ -420,7 +429,9 @@ class TestOverCapacityExecution:
 class TestEngineAndTunerIntegration:
     def test_engine_forwards_streaming_parameters(self):
         tensor = random_sparse_tensor((10, 12, 14), 300, seed=2)
-        engine = UnifiedGPUEngine(streamed=True, chunk_nnz=64, num_streams=3)
+        engine = UnifiedGPUEngine(
+            ctx=ExecContext(streamed=True, chunk_nnz=64, num_streams=3)
+        )
         engine.prepare(tensor, 4)
         factors = [np.asarray(f) for f in random_factors(tensor.shape, 4, seed=1)]
         result = engine.mttkrp(factors, 0)
@@ -452,14 +463,15 @@ class TestStreamedHypothesis:
     def test_chunked_equals_one_shot(self, dims, nnz, seed, chunk_parts):
         tensor = random_sparse_tensor(dims, nnz, seed=seed)
         factors = [np.asarray(f) for f in random_factors(dims, RANK, seed=seed)]
-        one_shot = run_kernel(unified_spmttkrp, tensor, factors, 0, streamed=False)
+        one_shot = run_kernel(
+            unified_spmttkrp, tensor, factors, 0, ctx=ExecContext(streamed=False)
+        )
         streamed = run_kernel(
             unified_spmttkrp,
             tensor,
             factors,
             0,
-            streamed=True,
-            chunk_nnz=chunk_parts * THREADLEN,
+            ctx=ExecContext(streamed=True, chunk_nnz=chunk_parts * THREADLEN),
         )
         np.testing.assert_allclose(
             streamed.output, one_shot.output, rtol=1e-10, atol=1e-12
