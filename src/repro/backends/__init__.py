@@ -5,18 +5,21 @@ unified kernels are written against (segment reduction, per-non-zero
 products, dense CP/Tucker updates).  Two implementations ship:
 
 * ``"reference"`` — the original strictly-sequential numpy path
-  (``np.add.at`` + per-mode product loops).  This *defines* the
-  repository's canonical numeric order.
-* ``"vectorized"`` — batched position-stepped reductions with fused
-  products; bit-identical to the reference by construction, ≥2× faster on
-  realistic workloads (see ``repro.bench.wallclock``).
+  (2-D ``np.add.at`` + per-mode product loops).  This *defines* the
+  repository's canonical numeric order and is the oracle every other
+  backend is tested against.
+* ``"vectorized"`` — the default: blocked flat ``np.add.at`` reductions
+  with fused products; bit-identical to the reference by construction on
+  every supported NumPy (>= 1.22), and ≥2× faster on realistic workloads
+  where NumPy has the 1-D ``ufunc.at`` fast path (>= 1.25; see
+  ``repro.bench.wallclock``).
 
 Selection, in precedence order:
 
-1. ``ExecContext(backend="vectorized")`` (or a :class:`Backend` instance);
+1. ``ExecContext(backend="reference")`` (or a :class:`Backend` instance);
 2. the ``REPRO_BACKEND`` environment variable (read at call time, which is
    what the CI backend-matrix axis and the CLI ``--backend`` flag set);
-3. the default, ``"reference"``.
+3. the default, ``"vectorized"``.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ __all__ = [
 BACKEND_ENV_VAR = "REPRO_BACKEND"
 
 #: Name used when neither an explicit spec nor the environment selects one.
-DEFAULT_BACKEND = "reference"
+DEFAULT_BACKEND = "vectorized"
 
 #: Singleton registry; backends are stateless so instances are shared.
 BACKENDS: Dict[str, Backend] = {
@@ -60,7 +63,7 @@ def available_backends() -> tuple:
 def get_backend(spec: Optional[Union[str, Backend]] = None) -> Backend:
     """Resolve a backend spec to a :class:`Backend` instance.
 
-    ``None`` consults ``REPRO_BACKEND`` (defaulting to ``"reference"``), a
+    ``None`` consults ``REPRO_BACKEND`` (defaulting to ``"vectorized"``), a
     string is looked up in the registry, and a :class:`Backend` instance
     passes through unchanged.
     """

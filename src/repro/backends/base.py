@@ -17,7 +17,8 @@ small set of primitives:
   CP-ALS / Tucker drivers.
 
 The contract every backend must honour is **bit-identity**: for any input,
-a backend's result must be ``np.array_equal`` to the reference backend's
+a backend's result must equal the reference backend's byte for byte — same
+dtype, shape and bytes, the sign of zero included
 (:mod:`repro.backends.reference`, the strictly sequential ``np.add.at``
 path).  All the repository's correctness claims are bit-identity properties
 (chunked == sharded == multi-node == scheduled == recovered == one-shot),
@@ -61,10 +62,10 @@ class Backend:
         """Sum ``values`` within each segment, in the canonical order.
 
         Must be bit-identical to
-        :func:`repro.gpusim.scan.segment_reduce` — the strictly
-        sequential per-element accumulation order — for non-decreasing
-        ``segment_ids`` (the F-COO encoding guarantees monotonicity; an
-        implementation may fall back to the scatter-add for unsorted ids).
+        :func:`repro.gpusim.scan.segment_reduce` — every cell starts at
+        +0.0 and takes its addends one at a time in stream order — for any
+        ``segment_ids`` order (F-COO encodings produce non-decreasing ids,
+        but the contract does not rely on it).
         """
         raise NotImplementedError
 

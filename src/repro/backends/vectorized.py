@@ -1,54 +1,71 @@
-"""The vectorized backend: batched strict-order reductions, fused products.
+"""The vectorized backend: blocked flat scatter-adds, fused products.
 
-``np.add.at`` is semantically perfect for the F-COO segment reduction — a
-strictly sequential scatter-add — but notoriously slow (~10 ns per scalar
-element: it is implemented as a per-index interpreter loop).  The obvious
-replacement, ``np.add.reduceat``, is *not* an option under this
-repository's bit-identity regime: reduceat uses pairwise summation, which
-diverges from the sequential order from segment length 4 onward.
+The F-COO segment reduction must be strictly sequential — every output
+cell starts at +0.0 and receives its addends one at a time in stream order
+— because that is the reference's ``np.add.at`` association and what
+bit-identity is defined against.  ``np.add.reduceat`` is *not* an option:
+it uses pairwise summation, which diverges from the sequential order from
+segment length 4 onward.
 
-This backend instead performs the reduction as a **position-stepped
-batch**: sort the segments by length (descending, stable), then for
-within-segment position ``k = 0, 1, 2, …`` add the ``k``-th element of
-every still-active segment into its accumulator row with one vectorized
-``+=``.  Each segment's elements are accumulated strictly in stream order
-— exactly ``np.add.at``'s association — but the interpreter loop runs once
-per *position* (bounded by the longest segment), not once per *non-zero*.
-When only a few long segments remain active (the skewed-tail regime where
-position stepping degenerates), the survivors finish with a seeded
-``np.add.accumulate`` — numpy's cumulative sum is strictly sequential, so
-the association is again unchanged.
+``np.add.at`` itself is strictly sequential; what makes the reference slow
+is its 2-D form (a row-indexed scatter into a matrix).  This backend
+scatters the same values through *flat* 1-D indices
+(``segment_id * width + column``) into a zero-initialised flat output.
+Every cell still starts at +0.0 and receives exactly the same addends in
+exactly the same order, so the result is bit-identical for any segment-id
+order, including the sign of zero.  That holds on every supported NumPy
+(>= 1.22); only the speed depends on the version: from NumPy 1.25 on the
+flat call takes ``ufunc.at``'s 1-D fast path and runs several times faster
+than the 2-D call.
 
-The product stage fuses into the same loop: each position's partial
-products are computed directly into the accumulator batch (value row ×
-gathered factor rows, left-to-right), so the full ``(nnz, R)`` partial
-array is never materialised.  Per element the scalar operations and their
-order are identical to the reference path — only the batching changes —
-which is why the outputs are bit-identical, not merely close.
+The non-zero stream is walked in fixed row blocks: each block's partial
+products are computed (left-to-right, the reference's per-element order)
+and scatter-added before the next block starts, so the full
+``(nnz, width)`` partial array is never materialised.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+import math
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from repro.backends.base import Backend
-from repro.gpusim.scan import segment_reduce as _canonical_segment_reduce
 
 __all__ = ["VectorizedBackend"]
 
+#: Partial-product elements (rows × width) computed and scattered per block:
+#: large enough to amortise the per-block interpreter cost, small enough to
+#: bound the temporaries to a few MB whatever the non-zero count.
+_BLOCK_ELEMENTS = 1 << 18
 
-def _segment_table(segment_ids: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Start offsets and lengths of the runs in non-decreasing segment ids."""
-    n = segment_ids.shape[0]
-    starts = np.flatnonzero(np.r_[True, segment_ids[1:] != segment_ids[:-1]])
-    lengths = np.diff(np.r_[starts, n])
-    return starts, lengths
+
+def _blocked_segment_sums(
+    partials: Callable[[int, int], np.ndarray],
+    n: int,
+    width: int,
+    segment_ids: np.ndarray,
+    num_segments: int,
+) -> np.ndarray:
+    """Strict-order segment sums of the row blocks ``partials(lo, hi)``.
+
+    ``partials(lo, hi)`` returns the ``(hi - lo, width)`` (or, for
+    ``width == 1``, ``(hi - lo,)``) partials of non-zeros ``lo:hi``.
+    Returns the flat ``(num_segments * width,)`` sums, row-major.
+    """
+    out = np.zeros(num_segments * width, dtype=np.float64)
+    cols = np.arange(width, dtype=np.int64)
+    step = max(1, _BLOCK_ELEMENTS // max(width, 1))
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        ids = segment_ids[lo:hi].astype(np.int64, copy=False)
+        np.add.at(out, (ids[:, None] * width + cols).ravel(), partials(lo, hi).ravel())
+    return out
 
 
 class VectorizedBackend(Backend):
-    """Batched strict-order execution; bit-identical to the reference."""
+    """Blocked flat scatter-add execution; bit-identical to the reference."""
 
     name = "vectorized"
 
@@ -64,50 +81,15 @@ class VectorizedBackend(Backend):
         values, segment_ids, num_segments = self._validated(
             values, segment_ids, num_segments
         )
-        squeeze = values.ndim == 1
-        if values.shape[0] == 0:
-            shape = (num_segments,) if squeeze else (num_segments, values.shape[1])
-            return np.zeros(shape, dtype=np.float64)
-        if np.any(segment_ids[1:] < segment_ids[:-1]):
-            # Unsorted ids (never produced by F-COO encodings): the batched
-            # stepping needs contiguous runs, so take the canonical
-            # scatter-add — identical by definition.
-            return _canonical_segment_reduce(values, segment_ids, num_segments)
-        values2d = values[:, None] if squeeze else values
-        out = self._strict_sorted_reduce(values2d, segment_ids, num_segments)
-        return out[:, 0] if squeeze else out
-
-    def _strict_sorted_reduce(
-        self,
-        values: np.ndarray,
-        segment_ids: np.ndarray,
-        num_segments: int,
-    ) -> np.ndarray:
-        """Position-stepped reduction of pre-computed ``(n, w)`` partials."""
-        starts, lengths = _segment_table(segment_ids)
-        order = np.argsort(-lengths, kind="stable")
-        s_starts, s_len = starts[order], lengths[order]
-        acc = values[s_starts].copy()  # every segment's position-0 element
-        max_len = int(s_len[0])
-        k = 1
-        while k < max_len:
-            m = int(np.searchsorted(-s_len, -k))  # segments with length > k
-            if m <= 0:
-                break
-            if m <= max_len - k:
-                # Few long segments left: finish each with a seeded
-                # cumulative sum (np.add.accumulate is strictly sequential).
-                for i in range(m):
-                    lo = int(s_starts[i]) + k
-                    hi = int(s_starts[i]) + int(s_len[i])
-                    seeded = np.concatenate([acc[i][None, :], values[lo:hi]], axis=0)
-                    acc[i] = np.add.accumulate(seeded, axis=0)[-1]
-                break
-            acc[:m] += values[s_starts[:m] + k]
-            k += 1
-        out = np.zeros((num_segments, values.shape[1]), dtype=np.float64)
-        out[segment_ids[s_starts]] = acc
-        return out
+        width = 1 if values.ndim == 1 else values.shape[1]
+        out = _blocked_segment_sums(
+            lambda lo, hi: values[lo:hi],
+            values.shape[0],
+            width,
+            segment_ids,
+            num_segments,
+        )
+        return out if values.ndim == 1 else out.reshape(num_segments, width)
 
     # ------------------------------------------------------------------ #
     # Per-non-zero products
@@ -140,9 +122,7 @@ class VectorizedBackend(Backend):
         rows = self._as_streams(rows)
         nnz = vals.shape[0]
         if nnz == 0:
-            width = 1
-            for mat in mats:
-                width *= mat.shape[1]
+            width = math.prod(mat.shape[1] for mat in mats)
             return np.zeros((0, width), dtype=np.float64)
         if len(mats) == 2:
             # One fused pass; operands multiply left-to-right — the same
@@ -169,53 +149,47 @@ class VectorizedBackend(Backend):
         segment_ids: np.ndarray,
         num_segments: int,
     ) -> np.ndarray:
-        vals = np.asarray(values, dtype=np.float64)
-        segment_ids = np.asarray(segment_ids)
-        if (
-            not mats
-            or vals.shape[0] == 0
-            or np.any(segment_ids[1:] < segment_ids[:-1])
-        ):
-            return super().hadamard_segment_sums(
-                vals, mats, rows, segment_ids, num_segments
-            )
-        _, segment_ids, num_segments = self._validated(
-            vals, segment_ids, num_segments
+        width = mats[0].shape[1] if mats else 1
+        return self._fused_segment_sums(
+            self.slice_products, width, values, mats, rows, segment_ids, num_segments
+        )
+
+    def kron_segment_sums(
+        self,
+        values: np.ndarray,
+        mats: Sequence[np.ndarray],
+        rows: Sequence[np.ndarray],
+        segment_ids: np.ndarray,
+        num_segments: int,
+    ) -> np.ndarray:
+        width = math.prod(mat.shape[1] for mat in mats)
+        return self._fused_segment_sums(
+            self.kron_products, width, values, mats, rows, segment_ids, num_segments
+        )
+
+    def _fused_segment_sums(
+        self,
+        products: Callable[..., np.ndarray],
+        width: int,
+        values: np.ndarray,
+        mats: Sequence[np.ndarray],
+        rows: Sequence[np.ndarray],
+        segment_ids: np.ndarray,
+        num_segments: int,
+    ) -> np.ndarray:
+        """Segment sums of ``products(values, mats, rows)``, one block at a time."""
+        vals, segment_ids, num_segments = self._validated(
+            values, segment_ids, num_segments
         )
         rows = self._as_streams(rows)
-        starts, lengths = _segment_table(segment_ids)
-        order = np.argsort(-lengths, kind="stable")
-        s_starts, s_len = starts[order], lengths[order]
-
-        def step(indexer) -> np.ndarray:
-            """One position's partial products, gathered and multiplied
-            in the reference's left-to-right order."""
-            partial = vals[indexer, None] * mats[0][rows[0][indexer], :]
-            for mat, row_idx in zip(mats[1:], rows[1:]):
-                partial *= mat[row_idx[indexer], :]
-            return partial
-
-        acc = step(s_starts)
-        max_len = int(s_len[0])
-        k = 1
-        while k < max_len:
-            m = int(np.searchsorted(-s_len, -k))
-            if m <= 0:
-                break
-            if m <= max_len - k:
-                for i in range(m):
-                    lo = int(s_starts[i]) + k
-                    hi = int(s_starts[i]) + int(s_len[i])
-                    seeded = np.concatenate(
-                        [acc[i][None, :], step(slice(lo, hi))], axis=0
-                    )
-                    acc[i] = np.add.accumulate(seeded, axis=0)[-1]
-                break
-            acc[:m] += step(s_starts[:m] + k)
-            k += 1
-        out = np.zeros((num_segments, acc.shape[1]), dtype=np.float64)
-        out[segment_ids[s_starts]] = acc
-        return out
+        out = _blocked_segment_sums(
+            lambda lo, hi: products(vals[lo:hi], mats, [r[lo:hi] for r in rows]),
+            vals.shape[0],
+            width,
+            segment_ids,
+            num_segments,
+        )
+        return out.reshape(num_segments, width)
 
     # ------------------------------------------------------------------ #
     # Dense updates
@@ -236,10 +210,11 @@ def _self_check(seed: int = 0, n: int = 512, width: int = 4) -> Optional[str]:
     rng = np.random.default_rng(seed)
     seg = np.sort(rng.integers(0, 40, size=n))
     vals = rng.standard_normal((n, width))
+    vals[seg == 0] = -0.0  # a segment of negative zeros sums to +0.0
     from repro.backends.reference import ReferenceBackend
 
     ref = ReferenceBackend().segment_reduce(vals, seg, 41)
     vec = VectorizedBackend().segment_reduce(vals, seg, 41)
-    if not np.array_equal(ref, vec):
+    if (ref.dtype, ref.shape, ref.tobytes()) != (vec.dtype, vec.shape, vec.tobytes()):
         return "vectorized segment_reduce diverged from the reference order"
     return None

@@ -351,7 +351,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help=(
             "numeric-execution backend for every kernel in the run "
             "(default: the REPRO_BACKEND environment variable, else "
-            "'reference'); backends are bit-identical, so this changes "
+            "'vectorized'); backends are bit-identical, so this changes "
             "wall-clock speed only — results and simulated seconds are "
             "unchanged"
         ),

@@ -201,7 +201,7 @@ class ExecContext:
         name (``"reference"`` / ``"vectorized"``), a
         :class:`~repro.backends.base.Backend` instance, or ``None`` to
         consult the ``REPRO_BACKEND`` environment variable (default
-        ``"reference"``).  Backends are bit-identical by contract, so this
+        ``"vectorized"``).  Backends are bit-identical by contract, so this
         changes wall-clock speed only — never results or modeled seconds.
     slo:
         The job-level :class:`SLO`, carried for serving-layer consumers.

@@ -67,13 +67,13 @@ class KernelCounters:
     device_to_host_bytes: float = 0.0
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.name == "imbalance_factor":
+        for name in _COUNTER_FIELDS:
+            value = getattr(self, name)
+            if name == "imbalance_factor":
                 if value < 1.0:
                     raise ValueError(f"imbalance_factor must be >= 1, got {value}")
             elif value < 0:
-                raise ValueError(f"{f.name} must be non-negative, got {value}")
+                raise ValueError(f"{name} must be non-negative, got {value}")
 
     # ------------------------------------------------------------------ #
     @property
@@ -109,7 +109,12 @@ class KernelCounters:
 
     def as_dict(self) -> Dict[str, float]:
         """Plain-dict view (used by the benchmark harness for reporting)."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return {name: getattr(self, name) for name in _COUNTER_FIELDS}
+
+
+#: Field names in declaration order, computed once: ``dataclasses.fields``
+#: is too slow to call on every ledger construction.
+_COUNTER_FIELDS = tuple(f.name for f in fields(KernelCounters))
 
 
 @dataclass

@@ -179,14 +179,17 @@ def unified_spmttkrp(
         ctx=ctx,
     )
 
-    output = np.zeros((shape[fcoo.mode], rank), dtype=np.float64)
     if fcoo.nnz:
         slice_sums = unified_segment_sums(
             fcoo, lambda chunk: _slice_sums(chunk, mats, backend_impl), profile
         )
         # Scatter the per-slice sums to the output rows (the segment table
         # stores the index-mode coordinate of each slice).
-        np.add.at(output, fcoo.segment_index_coords[:, 0], slice_sums)
+        output = backend_impl.segment_reduce(
+            slice_sums, fcoo.segment_index_coords[:, 0], shape[fcoo.mode]
+        )
+    else:
+        output = np.zeros((shape[fcoo.mode], rank), dtype=np.float64)
     if ctx.metrics is not None:
         observe_kernel_profile(
             ctx.metrics, kernel="spmttkrp", nnz=fcoo.nnz, profile=profile

@@ -154,12 +154,15 @@ def unified_spttmc(
         ctx=ctx,
     )
 
-    output = np.zeros((shape[fcoo.mode], math.prod(ranks)), dtype=np.float64)
     if fcoo.nnz:
         slice_sums = unified_segment_sums(
             fcoo, lambda chunk: _kron_slice_sums(chunk, mats, backend_impl), profile
         )
-        np.add.at(output, fcoo.segment_index_coords[:, 0], slice_sums)
+        output = backend_impl.segment_reduce(
+            slice_sums, fcoo.segment_index_coords[:, 0], shape[fcoo.mode]
+        )
+    else:
+        output = np.zeros((shape[fcoo.mode], math.prod(ranks)), dtype=np.float64)
     if ctx.metrics is not None:
         observe_kernel_profile(
             ctx.metrics, kernel="spttmc", nnz=fcoo.nnz, profile=profile

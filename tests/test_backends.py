@@ -1,12 +1,13 @@
-"""The backend bit-identity harness (ISSUE 9 tentpole property).
+"""The backend bit-identity harness.
 
-Every numeric-execution backend must be ``np.array_equal`` — not merely
-close — to the reference backend on every input.  The Hypothesis sweeps
-here drive the three unified kernels through the one-shot, chunked
-(streamed) and sharded topologies under both backends and compare bits,
-plus the primitive-level reductions (1-D/2-D, empty segments, single
-non-zero, unsorted-id fallback) and the ``ExecContext(backend=...)`` /
-``REPRO_BACKEND`` selection plumbing.
+Every numeric-execution backend must be byte-identical — same dtype, same
+shape, same bytes, so the sign of zero counts — to the reference backend
+on every input.  The Hypothesis sweeps here drive the three unified
+kernels through the one-shot, chunked (streamed) and sharded topologies
+under both backends and compare bytes, plus the primitive-level
+reductions (1-D/2-D, empty segments, single non-zero, unsorted ids,
+signed zeros, inputs spanning several reduction blocks) and the
+``ExecContext(backend=...)`` / ``REPRO_BACKEND`` selection plumbing.
 """
 
 from typing import Tuple
@@ -25,7 +26,7 @@ from repro.backends import (
     available_backends,
     get_backend,
 )
-from repro.backends.vectorized import _self_check
+from repro.backends.vectorized import _BLOCK_ELEMENTS, _self_check
 from repro.context import ExecContext
 from repro.gpusim.scan import segment_reduce
 from repro.kernels.unified import unified_spmttkrp, unified_spttm, unified_spttmc
@@ -35,6 +36,15 @@ SETTINGS = settings()
 
 REF = ReferenceBackend()
 VEC = VectorizedBackend()
+
+
+def assert_bytes_equal(actual: np.ndarray, expected: np.ndarray) -> None:
+    """Byte-level identity: ``np.array_equal`` treats -0.0 == +0.0, this
+    does not."""
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    assert actual.dtype == expected.dtype, (actual.dtype, expected.dtype)
+    assert actual.shape == expected.shape, (actual.shape, expected.shape)
+    assert actual.tobytes() == expected.tobytes(), "arrays differ in their bytes"
 
 
 # ---------------------------------------------------------------------- #
@@ -88,10 +98,10 @@ class TestSegmentReduceIdentity:
     def test_bit_identity_with_canonical_reduce(self, case):
         values, segment_ids, num_segments = case
         expected = segment_reduce(values, segment_ids, num_segments)
-        np.testing.assert_array_equal(
+        assert_bytes_equal(
             VEC.segment_reduce(values, segment_ids, num_segments), expected
         )
-        np.testing.assert_array_equal(
+        assert_bytes_equal(
             REF.segment_reduce(values, segment_ids, num_segments), expected
         )
 
@@ -100,34 +110,53 @@ class TestSegmentReduceIdentity:
         out = VEC.segment_reduce(values, np.array([2]), 5)
         expected = np.zeros((5, 2))
         expected[2] = values[0]
-        np.testing.assert_array_equal(out, expected)
+        assert_bytes_equal(out, expected)
 
     def test_all_segments_empty(self):
         out = VEC.segment_reduce(np.zeros((0, 3)), np.zeros(0, dtype=np.int64), 4)
-        np.testing.assert_array_equal(out, np.zeros((4, 3)))
+        assert_bytes_equal(out, np.zeros((4, 3)))
 
-    def test_unsorted_ids_fall_back_to_scatter_add(self):
+    def test_unsorted_ids_identity(self):
         rng = np.random.default_rng(0)
         values = rng.standard_normal((50, 4))
         segment_ids = rng.integers(0, 7, size=50)  # deliberately unsorted
-        np.testing.assert_array_equal(
+        assert_bytes_equal(
             VEC.segment_reduce(values, segment_ids, 7),
             segment_reduce(values, segment_ids, 7),
         )
 
-    def test_skewed_segments_hit_the_seeded_finish(self):
-        # One giant segment next to many singletons forces the batched
-        # stepping into its np.add.accumulate tail path.
+    def test_skewed_segments_identity(self):
+        # One giant segment next to many singletons.
         rng = np.random.default_rng(1)
         segment_ids = np.sort(np.r_[np.zeros(500, dtype=np.int64), np.arange(1, 40)])
         values = rng.standard_normal((segment_ids.size, 3))
-        np.testing.assert_array_equal(
+        assert_bytes_equal(
             VEC.segment_reduce(values, segment_ids, 40),
             segment_reduce(values, segment_ids, 40),
         )
 
     def test_self_check_probe(self):
         assert _self_check() is None
+
+    def test_signed_zero_sums_to_positive_zero(self):
+        # Every output cell starts at +0.0, and +0.0 + -0.0 == +0.0: a cell
+        # whose only addends are negative zeros must come out +0.0.
+        values = np.array([[-0.0, 1.0], [2.0, -0.0]])
+        segment_ids = np.array([0, 1])
+        expected = np.array([[0.0, 1.0], [2.0, 0.0]])
+        assert_bytes_equal(REF.segment_reduce(values, segment_ids, 2), expected)
+        assert_bytes_equal(VEC.segment_reduce(values, segment_ids, 2), expected)
+        assert_bytes_equal(
+            VEC.segment_reduce(values[:, 0], segment_ids, 2), expected[:, 0]
+        )
+        vals = np.array([-0.0, 2.0])
+        mats = [np.ones((2, 2))]
+        rows = [np.array([0, 1])]
+        for name in ("hadamard_segment_sums", "kron_segment_sums"):
+            assert_bytes_equal(
+                getattr(VEC, name)(vals, mats, rows, segment_ids, 2),
+                getattr(REF, name)(vals, mats, rows, segment_ids, 2),
+            )
 
     @SETTINGS
     @given(segmented_values(), st.integers(min_value=1, max_value=3))
@@ -138,7 +167,7 @@ class TestSegmentReduceIdentity:
         rng = np.random.default_rng(7)
         mats = [rng.standard_normal((10, 4)) for _ in range(num_mats)]
         rows = [rng.integers(0, 10, size=values.shape[0]) for _ in range(num_mats)]
-        np.testing.assert_array_equal(
+        assert_bytes_equal(
             VEC.hadamard_segment_sums(values, mats, rows, segment_ids, num_segments),
             REF.hadamard_segment_sums(values, mats, rows, segment_ids, num_segments),
         )
@@ -152,7 +181,7 @@ class TestSegmentReduceIdentity:
         rng = np.random.default_rng(9)
         mats = [rng.standard_normal((8, 3)) for _ in range(num_mats)]
         rows = [rng.integers(0, 8, size=values.shape[0]) for _ in range(num_mats)]
-        np.testing.assert_array_equal(
+        assert_bytes_equal(
             VEC.kron_segment_sums(values, mats, rows, segment_ids, num_segments),
             REF.kron_segment_sums(values, mats, rows, segment_ids, num_segments),
         )
@@ -160,11 +189,70 @@ class TestSegmentReduceIdentity:
     def test_dense_hadamard_identity(self):
         rng = np.random.default_rng(3)
         grams = [rng.standard_normal((6, 6)) for _ in range(4)]
-        np.testing.assert_array_equal(
-            VEC.dense_hadamard(grams, 6), REF.dense_hadamard(grams, 6)
+        assert_bytes_equal(VEC.dense_hadamard(grams, 6), REF.dense_hadamard(grams, 6))
+        assert_bytes_equal(VEC.dense_hadamard([], 6), REF.dense_hadamard([], 6))
+
+
+# ---------------------------------------------------------------------- #
+# Inputs spanning several reduction blocks
+# ---------------------------------------------------------------------- #
+def multi_block_segments(width: int, unsorted: bool):
+    """About three blocks' worth of segment ids for partials of ``width``:
+    power-law segment lengths, one segment straddling the first block edge,
+    optionally shuffled.  Returns ``(segment_ids, num_segments, rng)``."""
+    step = _BLOCK_ELEMENTS // width
+    n = 3 * step + 7
+    rng = np.random.default_rng(width)
+    lengths = np.minimum(rng.zipf(1.5, size=n), step)
+    lengths = lengths[: int(np.searchsorted(np.cumsum(lengths), n)) + 1]
+    segment_ids = np.repeat(np.arange(lengths.size), lengths)[:n]
+    segment_ids[step - 64 : step + 64] = segment_ids[step - 64]
+    if unsorted:
+        segment_ids = rng.permutation(segment_ids)
+    return segment_ids, int(segment_ids.max()) + 2, rng
+
+
+def signed_normal(rng, shape) -> np.ndarray:
+    """Standard normals with about a tenth of the entries set to -0.0."""
+    values = rng.standard_normal(shape)
+    values[rng.random(shape) < 0.1] = -0.0
+    return values
+
+
+@pytest.mark.parametrize("unsorted", [False, True], ids=["sorted", "unsorted"])
+@pytest.mark.parametrize("width", [1, 16, 64])
+class TestMultiBlockIdentity:
+    def test_segment_reduce(self, width, unsorted):
+        segment_ids, num_segments, rng = multi_block_segments(width, unsorted)
+        n = segment_ids.size
+        assert n > 2 * (_BLOCK_ELEMENTS // width)
+        values = signed_normal(rng, n if width == 1 else (n, width))
+        assert_bytes_equal(
+            VEC.segment_reduce(values, segment_ids, num_segments),
+            REF.segment_reduce(values, segment_ids, num_segments),
         )
-        np.testing.assert_array_equal(
-            VEC.dense_hadamard([], 6), REF.dense_hadamard([], 6)
+
+    def test_hadamard_segment_sums(self, width, unsorted):
+        segment_ids, num_segments, rng = multi_block_segments(width, unsorted)
+        n = segment_ids.size
+        values = signed_normal(rng, n)
+        mats = [signed_normal(rng, (30, width)) for _ in range(2)]
+        rows = [rng.integers(0, 30, size=n) for _ in mats]
+        assert_bytes_equal(
+            VEC.hadamard_segment_sums(values, mats, rows, segment_ids, num_segments),
+            REF.hadamard_segment_sums(values, mats, rows, segment_ids, num_segments),
+        )
+
+    def test_kron_segment_sums(self, width, unsorted):
+        segment_ids, num_segments, rng = multi_block_segments(width, unsorted)
+        n = segment_ids.size
+        side = int(np.sqrt(width))
+        values = signed_normal(rng, n)
+        mats = [signed_normal(rng, (30, side)) for _ in range(2)]
+        rows = [rng.integers(0, 30, size=n) for _ in mats]
+        assert_bytes_equal(
+            VEC.kron_segment_sums(values, mats, rows, segment_ids, num_segments),
+            REF.kron_segment_sums(values, mats, rows, segment_ids, num_segments),
         )
 
 
@@ -200,7 +288,7 @@ class TestKernelIdentity:
             ref_ctx, vec_ctx = _backend_pair(topology)
             reference = unified_spmttkrp(tensor, factors, mode, ctx=ref_ctx).output
             out = unified_spmttkrp(tensor, factors, mode, ctx=vec_ctx).output
-            np.testing.assert_array_equal(out, reference)
+            assert_bytes_equal(out, reference)
 
     @SETTINGS
     @given(tensors_with_mode(), st.integers(min_value=1, max_value=6))
@@ -211,8 +299,8 @@ class TestKernelIdentity:
             ref_ctx, vec_ctx = _backend_pair(topology)
             reference = unified_spttm(tensor, matrix, mode, ctx=ref_ctx).output
             out = unified_spttm(tensor, matrix, mode, ctx=vec_ctx).output
-            np.testing.assert_array_equal(out.fiber_values, reference.fiber_values)
-            np.testing.assert_array_equal(out.fiber_coords, reference.fiber_coords)
+            assert_bytes_equal(out.fiber_values, reference.fiber_values)
+            assert_bytes_equal(out.fiber_coords, reference.fiber_coords)
 
     @SETTINGS
     @given(tensors_with_mode(), st.integers(min_value=1, max_value=4))
@@ -223,7 +311,7 @@ class TestKernelIdentity:
             ref_ctx, vec_ctx = _backend_pair(topology)
             reference = unified_spttmc(tensor, factors, mode, ctx=ref_ctx).output
             out = unified_spttmc(tensor, factors, mode, ctx=vec_ctx).output
-            np.testing.assert_array_equal(out, reference)
+            assert_bytes_equal(out, reference)
 
     def test_decomposition_identity(self):
         from repro.algorithms.cp import cp_als
@@ -239,10 +327,8 @@ class TestKernelIdentity:
             for name in ("reference", "vectorized")
         }
         for a, b in zip(runs["reference"].factors, runs["vectorized"].factors):
-            np.testing.assert_array_equal(a, b)
-        np.testing.assert_array_equal(
-            runs["reference"].weights, runs["vectorized"].weights
-        )
+            assert_bytes_equal(a, b)
+        assert_bytes_equal(runs["reference"].weights, runs["vectorized"].weights)
 
         tuckers = {
             name: tucker_hooi(
@@ -252,10 +338,8 @@ class TestKernelIdentity:
             for name in ("reference", "vectorized")
         }
         for a, b in zip(tuckers["reference"].factors, tuckers["vectorized"].factors):
-            np.testing.assert_array_equal(a, b)
-        np.testing.assert_array_equal(
-            tuckers["reference"].core, tuckers["vectorized"].core
-        )
+            assert_bytes_equal(a, b)
+        assert_bytes_equal(tuckers["reference"].core, tuckers["vectorized"].core)
 
 
 # ---------------------------------------------------------------------- #
@@ -274,11 +358,11 @@ class TestBackendSelection:
 
     def test_get_backend_env_default(self, monkeypatch):
         monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
-        assert get_backend(None).name == "reference"
-        monkeypatch.setenv(BACKEND_ENV_VAR, "vectorized")
         assert get_backend(None).name == "vectorized"
-        monkeypatch.setenv(BACKEND_ENV_VAR, "")  # empty -> default
+        monkeypatch.setenv(BACKEND_ENV_VAR, "reference")
         assert get_backend(None).name == "reference"
+        monkeypatch.setenv(BACKEND_ENV_VAR, "")  # empty -> default
+        assert get_backend(None).name == "vectorized"
 
     def test_get_backend_rejects_unknown(self):
         with pytest.raises(ValueError, match="unknown backend"):
