@@ -50,6 +50,7 @@ from repro.bench.serving import (
     run_serving,
 )
 from repro.bench.streaming import run_streaming
+from repro.bench.wallclock import same_bits
 from repro.gpusim.timeline import Timeline
 from repro.serve.autoscale import AutoscalerSpec
 
@@ -273,8 +274,8 @@ def _faults_metrics() -> Dict[str, float]:
 
     * **CP-ALS / Tucker-HOOI** — a two-node sharded decomposition with one
       node killed mid-sweep.  ``faults/identity_violation_count`` counts
-      any factor/weight/core array that is not ``np.array_equal`` to the
-      failure-free run's (zero tolerance: any increase fails), and
+      any factor/weight/core array that is not bit-identical (dtype,
+      shape and bytes) to the failure-free run's (zero tolerance: any increase fails), and
       ``faults/recovery_cost_missing_count`` fires when a recovery was
       recorded with no positive modeled restage cost — recovery must never
       be free.  ``faults/cp_recovery_overhead_ratio`` records the
@@ -287,8 +288,6 @@ def _faults_metrics() -> Dict[str, float]:
       a node loss may delay work, never lose it — and
       ``faults/serve_requeued_jobs`` tracks the re-queue volume.
     """
-    import numpy as np
-
     from repro.algorithms.cp import UnifiedGPUEngine, cp_als
     from repro.algorithms.tucker import tucker_hooi
     from repro.context import ExecContext
@@ -322,10 +321,9 @@ def _faults_metrics() -> Dict[str, float]:
         ctx=ExecContext(chaos=(failure,)),
     )
     identity_violations += sum(
-        not np.array_equal(a, b)
-        for a, b in zip(clean_cp.factors, faulty_cp.factors)
+        not same_bits(a, b) for a, b in zip(clean_cp.factors, faulty_cp.factors)
     )
-    identity_violations += not np.array_equal(clean_cp.weights, faulty_cp.weights)
+    identity_violations += not same_bits(clean_cp.weights, faulty_cp.weights)
     missing_cost += not (
         faulty_cp.recoveries and faulty_cp.recovery_overhead_s > 0.0
     )
@@ -346,10 +344,9 @@ def _faults_metrics() -> Dict[str, float]:
         max_iterations=2,
     )
     identity_violations += sum(
-        not np.array_equal(a, b)
-        for a, b in zip(clean_tk.factors, faulty_tk.factors)
+        not same_bits(a, b) for a, b in zip(clean_tk.factors, faulty_tk.factors)
     )
-    identity_violations += not np.array_equal(clean_tk.core, faulty_tk.core)
+    identity_violations += not same_bits(clean_tk.core, faulty_tk.core)
     missing_cost += not (
         faulty_tk.recoveries and faulty_tk.recovery_overhead_s > 0.0
     )
@@ -403,8 +400,8 @@ def _slo_metrics() -> Dict[str, float]:
 
     * ``slo/preempted_identity_violation_count`` — every job the deadline
       policy completed (preempted-and-resumed victims included) must be
-      ``np.array_equal`` to its twin from the preemption-free priority
-      run.  Preemption moves work in *time*, never in *value*.
+      bit-identical (dtype, shape and bytes) to its twin from the
+      preemption-free priority run.  Preemption moves work in *time*, never in *value*.
     * ``slo/deadline_unsound_count`` — the deadline policy's miss rate
       exceeded FIFO's on the same workload, i.e. deadline awareness made
       deadlines *worse*; must never happen.
@@ -415,8 +412,6 @@ def _slo_metrics() -> Dict[str, float]:
     re-stages), and the autoscaled run's makespan and scale-up volume
     (the pool starts at one device, so a loaded run must scale up).
     """
-    import numpy as np
-
     slo_kwargs = dict(num_jobs=100, seed=0, slo_fraction=0.3, deadline_slack=30.0)
     edf = run_serving(policy="deadline", **slo_kwargs)
     fifo = run_serving(policy="fifo", **slo_kwargs)
@@ -432,7 +427,7 @@ def _slo_metrics() -> Dict[str, float]:
             continue
         ours, theirs = arrays(result.output), arrays(other.output)
         identity_violations += len(ours) != len(theirs) or any(
-            not np.array_equal(a, b) for a, b in zip(ours, theirs)
+            not same_bits(a, b) for a, b in zip(ours, theirs)
         )
 
     autoscaled = run_serving(
@@ -507,7 +502,7 @@ def _adaptive_metrics() -> Dict[str, float]:
     engine — the first run warms the preprocessing cache *and* the
     observation store, the second run is measured with the feedback loop
     closed — once static (FIFO NIC, feedback never consumed) and once
-    adaptive (hedged run, plus a non-FIFO NIC discipline on the
+    adaptive (hedged run, plus a non-FIFO NIC policy label on the
     multi-node scenarios).  Three zero-tolerance counts pin the tentpole
     properties:
 
@@ -516,20 +511,17 @@ def _adaptive_metrics() -> Dict[str, float]:
       ways and keeps adaptive only on a strict win, so this must never
       happen by construction.
     * ``adaptive/identity_violation_count`` — a job completed by both
-      twins whose outputs are not ``np.array_equal``.  Feedback moves
+      twins whose outputs are not bit-identical.  Feedback moves
       work in *time*, never in *value*.
     * ``adaptive/gang_feasibility_violation_count`` — the adaptive runs'
-      timelines reported booking violations (a displaced collective gang
-      torn apart or double-booked); must stay empty under every NIC
-      discipline.
+      timelines reported booking violations (a collective gang torn apart
+      or double-booked); must stay empty under every NIC policy label.
 
     The per-scenario improvement ratios (adaptive over static makespan,
     at most 1.0 when the hedge holds) ride along as ungated ``_info``
     trend metrics, and the measured adaptive makespans are gated with the
     ordinary ratio tolerance.
     """
-    import numpy as np
-
     from repro.serve.engine import ServingEngine
     from repro.serve.workload import (
         WorkloadSpec,
@@ -585,7 +577,7 @@ def _adaptive_metrics() -> Dict[str, float]:
             ours = _comparable_arrays(result.output)
             theirs = _comparable_arrays(other.output)
             identity_violations += len(ours) != len(theirs) or any(
-                not np.array_equal(a, b) for a, b in zip(ours, theirs)
+                not same_bits(a, b) for a, b in zip(ours, theirs)
             )
         if adaptive.timeline is not None:
             infeasible += len(adaptive.timeline.violations())

@@ -110,9 +110,9 @@ def run_serving(
         Closed-loop feedback scheduling: ``adaptive`` turns on the hedged
         adaptive run (observed times feed the placer and tuner; static
         wins ties, so adaptive never loses the makespan), ``nic_policy``
-        selects the NIC queue discipline (``"fifo"``, ``"fair"``,
-        ``"priority"``).  Both default off, keeping earlier baselines
-        byte-identical.
+        labels the NIC dispatch metric (``"fifo"``, ``"fair"``,
+        ``"priority"``) without changing the schedule.  Both default off,
+        keeping earlier baselines byte-identical.
     """
     cross_node_every = 0
     if nodes is not None and nodes >= 2:

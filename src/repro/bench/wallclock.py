@@ -7,8 +7,8 @@ sizes and seeds, once per numeric-execution backend
 (:mod:`repro.backends`), and pairs the timings with a backend **identity
 sweep**: the vectorized backend re-runs the repository's topology harnesses
 (one-shot, chunked, sharded, multi-node, decompositions, the serving
-scheduler) and every output is compared ``np.array_equal`` against the
-reference backend's.
+scheduler) and every output is compared bit for bit (:func:`same_bits`:
+dtype, shape and bytes) against the reference backend's.
 
 Wall time is noisy where simulated time is not, so the regression gate
 (:mod:`repro.bench.regression`, suite ``wallclock``) treats the two metric
@@ -58,6 +58,7 @@ __all__ = [
     "QUICK_WARMUP",
     "FULL_REPEAT",
     "FULL_WARMUP",
+    "same_bits",
     "run_wallclock",
     "main",
 ]
@@ -215,6 +216,15 @@ def _outputs_under(backend: str, tensor: SparseTensor) -> List[np.ndarray]:
     return arrays
 
 
+def same_bits(a: object, b: object) -> bool:
+    """Whether two arrays are bit-identical: same dtype, shape and bytes.
+
+    Stricter than ``np.array_equal``, which calls -0.0 and +0.0 equal.
+    """
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def _identity_violations() -> int:
     """Arrays on which the vectorized backend diverges from the reference."""
     tensor = random_sparse_tensor((400, 60, 50), 8_000, seed=21)
@@ -224,9 +234,9 @@ def _identity_violations() -> int:
         # Structural divergence (different job/array counts) is itself a
         # violation per missing/extra array.
         return abs(len(reference) - len(vectorized)) + sum(
-            not np.array_equal(a, b) for a, b in zip(reference, vectorized)
+            not same_bits(a, b) for a, b in zip(reference, vectorized)
         )
-    return sum(not np.array_equal(a, b) for a, b in zip(reference, vectorized))
+    return sum(not same_bits(a, b) for a, b in zip(reference, vectorized))
 
 
 # ---------------------------------------------------------------------- #

@@ -21,10 +21,9 @@ Usage::
                                               # exposition of the run
     python -m repro serve --events out.jsonl  # structured scheduler event
                                               # log, one JSON line per event
-    python -m repro serve --adaptive --nic-policy fair  # closed-loop
-                                              # scheduling: observed times
-                                              # feed the placer/tuner, NIC
-                                              # collectives queue fairly
+    python -m repro serve --adaptive          # closed-loop scheduling:
+                                              # observed times feed the
+                                              # placer and tuner
 
 Each experiment prints the same rows/series the paper reports, rendered as a
 plain-text table (see :mod:`repro.bench`).
@@ -276,10 +275,10 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=["fifo", "fair", "priority"],
         default="fifo",
         help=(
-            "for the serve experiment: NIC queue discipline for cross-node "
-            "collectives — 'fifo' (arrival order, the default), 'fair' "
-            "(round-robin by consumed NIC seconds per job), or 'priority' "
-            "(deadline jobs first, then by queue priority)"
+            "for the serve experiment: the policy label of the "
+            "repro_nic_discipline_dispatch_total metric (default fifo); "
+            "collectives always run in booking order, because jobs that "
+            "share a link or NIC also share compute lanes"
         ),
     )
     parser.add_argument(

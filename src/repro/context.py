@@ -212,13 +212,6 @@ class ExecContext:
         into it (observation-only: modeled seconds never change).  The
         serving engine threads its per-run registry through here so every
         layer a job touches reports into one place.
-    nic_policy:
-        NIC queue discipline for collectives under contention (one of
-        :data:`~repro.gpusim.timeline.NIC_POLICIES`): ``"fifo"`` — the
-        default, bookings serve in arrival order — or ``"fair"`` /
-        ``"priority"``, which let the serving scheduler reorder queued
-        (never in-flight) collectives.  Disciplines only move modeled
-        time; numerics are policy-independent by construction.
     """
 
     streamed: Optional[bool] = None
@@ -233,7 +226,6 @@ class ExecContext:
     backend: Optional[Any] = None
     slo: Optional[SLO] = None
     metrics: Optional["MetricsRegistry"] = None
-    nic_policy: str = "fifo"
 
     def __post_init__(self) -> None:
         if self.backend is not None:
@@ -252,12 +244,6 @@ class ExecContext:
             # Normalise any sequence of failures to a tuple so the context
             # stays hashable/frozen-safe.
             object.__setattr__(self, "chaos", tuple(self.chaos))
-        from repro.gpusim.timeline import NIC_POLICIES
-
-        if self.nic_policy not in NIC_POLICIES:
-            raise ValueError(
-                f"nic_policy must be one of {NIC_POLICIES}, got {self.nic_policy!r}"
-            )
 
     def evolve(self, **changes: Any) -> "ExecContext":
         """A copy with ``changes`` applied (``dataclasses.replace`` sugar)."""

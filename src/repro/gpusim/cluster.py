@@ -52,13 +52,7 @@ from math import ceil, log2
 from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.gpusim.device import DeviceSpec, TITAN_X
-from repro.gpusim.timeline import (
-    CollectiveRequest,
-    GangBooking,
-    NicDiscipline,
-    Resource,
-    Timeline,
-)
+from repro.gpusim.timeline import GangBooking, Resource, Timeline
 
 __all__ = [
     "InterconnectSpec",
@@ -400,8 +394,6 @@ class ClusterSpec:
         *,
         ready_s: float = 0.0,
         label: str = "collective",
-        discipline: Optional[NicDiscipline] = None,
-        request: Optional[CollectiveRequest] = None,
     ) -> GangBooking:
         """Book a pre-priced collective of ``duration_s`` onto the link.
 
@@ -410,23 +402,13 @@ class ClusterSpec:
         closed-form cost — and a busy link delays it, which is how
         link/NIC *contention* between concurrent jobs falls out of the
         shared timeline instead of each job pricing the link as idle.
-
-        A caller serving several jobs under a NIC queue ``discipline``
-        passes it (with the job's :class:`CollectiveRequest`) so the
-        discipline's per-job service ledger stays accurate; the booking
-        arithmetic itself is discipline-free — reordering is the
-        *scheduler's* move (it releases and re-books queued gangs), never
-        this primitive's.
         """
-        gang = timeline.book_together(
+        return timeline.book_together(
             self.collective_resources(timeline),
             duration_s,
             ready_s=ready_s,
             label=label,
         )
-        if discipline is not None and request is not None:
-            discipline.note_dispatch(request)
-        return gang
 
     def book_allreduce(
         self, timeline: Timeline, nbytes: float, *, ready_s: float = 0.0, label: str = "allreduce"
@@ -602,6 +584,15 @@ class MultiNodeClusterSpec:
                         f"{device.name!r} with a different specification"
                     )
                 seen[device.name] = device
+        # Link and NIC resources are keyed by node name, so two nodes that
+        # shared one would silently share one link and one NIC.
+        names = [node.name for node in self.nodes]
+        duplicates = sorted({name for name in names if names.count(name) > 1})
+        if duplicates:
+            raise ValueError(
+                f"MultiNodeClusterSpec node names must be unique, got "
+                f"duplicates {duplicates}"
+            )
         object.__setattr__(
             self,
             "device_node",
@@ -1017,8 +1008,6 @@ class MultiNodeClusterSpec:
         *,
         ready_s: float = 0.0,
         label: str = "collective",
-        discipline: Optional[NicDiscipline] = None,
-        request: Optional[CollectiveRequest] = None,
     ) -> GangBooking:
         """Book a pre-priced collective onto every participating tier.
 
@@ -1027,21 +1016,13 @@ class MultiNodeClusterSpec:
         already holds a shared NIC, this one waits for it: shared-NIC
         *congestion* under concurrent cross-node jobs, with the idle model
         as the exact lower bound (and the degenerate single-job case).
-
-        ``discipline``/``request`` mirror
-        :meth:`ClusterSpec.book_collective`: the NIC queue discipline's
-        per-job service ledger is updated, while any reordering stays the
-        scheduler's move.
         """
-        gang = timeline.book_together(
+        return timeline.book_together(
             self.collective_resources(timeline),
             duration_s,
             ready_s=ready_s,
             label=label,
         )
-        if discipline is not None and request is not None:
-            discipline.note_dispatch(request)
-        return gang
 
     def book_allreduce(
         self, timeline: Timeline, nbytes: float, *, ready_s: float = 0.0, label: str = "allreduce"

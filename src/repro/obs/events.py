@@ -43,7 +43,6 @@ EVENT_KINDS = (
     "node_recovery",  # cluster re-formed on the survivors
     "requeue",  # in-flight victim of a failure re-admitted
     "scale",  # autoscaler parked or unparked devices
-    "nic_reorder",  # NIC discipline let a queued collective overtake another
 )
 
 
@@ -79,9 +78,8 @@ class EventLog:
     simulated time — a ``dispatch``/``complete`` pair carries future
     timestamps — so a commitment that is later revoked (a trial booking
     rolled back, a preempted victim, a chaos teardown) must also revoke
-    its provisional events: :meth:`rollback` discards everything past a
-    :meth:`mark`, and :meth:`retract` removes one stale event.  Both
-    keep ``seq`` contiguous, so the exported log always reads as the
+    its provisional events: :meth:`retract` removes one stale event, and
+    the export keeps ``seq`` contiguous, so the log always reads as the
     final schedule's true history.
     """
 
@@ -110,24 +108,6 @@ class EventLog:
         )
         self.events.append(event)
         return event
-
-    def mark(self) -> int:
-        """A checkpoint for :meth:`rollback` (the current event count)."""
-        return len(self.events)
-
-    def rollback(self, mark: int) -> int:
-        """Discard every event emitted since ``mark``; returns the count.
-
-        Used around trial commitments: take a :meth:`mark`, commit, and
-        roll the events back if the booking itself is rolled back.
-        """
-        if not 0 <= mark <= len(self.events):
-            raise ValueError(
-                f"mark {mark} outside the log (0..{len(self.events)})"
-            )
-        dropped = len(self.events) - mark
-        del self.events[mark:]
-        return dropped
 
     def retract(self, event: Event) -> None:
         """Remove one previously emitted event (matched by identity).

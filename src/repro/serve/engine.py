@@ -380,9 +380,11 @@ class ServingEngine:
         observations into :attr:`observations` either way, it just never
         consumes them.
     nic_policy:
-        NIC queue discipline for the run's collectives (``"fifo"``,
-        ``"fair"`` or ``"priority"``); only consulted by the winning
-        schedule when ``adaptive`` is on, applied directly otherwise.
+        NIC policy label (``"fifo"``, ``"fair"`` or ``"priority"``) of the
+        ``repro_nic_discipline_dispatch_total`` metric; it never changes
+        the schedule, since collectives always serve in booking order.
+        With ``adaptive`` on only the adaptive trial's scheduler carries
+        it, so a static winner reports ``"fifo"``.
     """
 
     def __init__(
@@ -464,8 +466,8 @@ class ServingEngine:
         With ``adaptive`` on, the run is *hedged*: the jobs are first
         trial-scheduled twice on throwaway cache clones — once static
         (FIFO NIC, no observations consumed) and once adaptive (blended
-        placement, tuner re-ranking, the engine's NIC policy, a clone of
-        the observation store) — with no telemetry sinks.  The adaptive
+        placement, tuner re-ranking, the engine's NIC policy label, a clone
+        of the observation store) — with no telemetry sinks.  The adaptive
         configuration is kept only if its trial makespan is *strictly*
         shorter; ties and regressions fall back to the static schedule,
         so a cold store (which makes the adaptive trial collapse to the

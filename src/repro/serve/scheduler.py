@@ -55,17 +55,29 @@ deterministic simulated-time schedule:
 
 All time bookkeeping lives on one shared
 :class:`~repro.gpusim.timeline.Timeline`: every device contributes a copy
-engine and a compute engine resource (the PR 1 stream-pipeline pair, now
-first-class), and a sharded job's partial-output collective books the
-execution cluster's intra-node link / per-node NIC resources through
-:meth:`~repro.gpusim.cluster.ClusterSpec.book_collective`.  On idle
-resources the booked schedule reproduces the pre-refactor closed forms bit
-for bit; when concurrent cross-node jobs share a NIC, the later collective
-queues behind the earlier one and the job finishes later — shared-NIC
-congestion, falling out of the resource model instead of being priced as
-idle.  The timeline also powers the per-resource utilisation of
+engine and a compute engine resource, and a sharded job's partial-output
+collective gang-books the execution cluster's intra-node link / per-node
+NIC resources.  On idle resources the booked schedule reproduces the
+closed-form costs bit for bit; a collective that finds a shared link or
+NIC busy queues behind it and the job finishes later.  Collectives always
+serve in booking order: a sharded placement takes whole nodes and holds
+its compute lanes (a non-busy ``barrier:`` booking) until its collective
+ends, so two jobs that share a link or NIC also share a lane, and the
+later one's collective cannot be ready before the earlier one's is done —
+there is never a queued collective for a policy to reorder.  The timeline
+also powers the per-resource utilisation of
 :class:`~repro.serve.engine.ServingReport` and the ``--trace`` Chrome
 trace export.
+
+Every dispatched or resumed job is one ``_Commitment``: it owns the job's
+bookings, its provisional ``dispatch``/``resume`` and ``complete`` events
+(their timestamps lie in the committed future) and its
+:class:`~repro.serve.job.JobResult`.  The three features that take
+committed work back go through it: a deadline job's trial booking and a
+preempted victim are *revoked* — all or nothing: future bookings
+released, at most one in-flight booking truncated, stale events
+retracted — and a job torn off a failed node is *abandoned*, its bookings
+left on the timeline as wasted work.
 
 Everything is simulated time derived from the deterministic cost models —
 two runs of the same workload produce identical schedules, which is what
@@ -91,14 +103,11 @@ from repro.gpusim.device import DeviceSpec
 from repro.gpusim.timeline import (
     NIC_POLICIES,
     Booking,
-    CollectiveRequest,
-    NicDiscipline,
     Resource,
     Span,
     Timeline,
     device_compute_key,
     device_copy_key,
-    make_nic_discipline,
     schedule_chunks,
 )
 from repro.gpusim.timing import OutOfDeviceMemory
@@ -216,75 +225,140 @@ class _ReadyEntry:
     requeued: bool = False
 
 
-@dataclass
-class _CommittedJob:
-    """The booking ledger of one committed (dispatched) job.
+@dataclass(eq=False)
+class _Commitment:
+    """One committed (dispatched or resumed) job and everything revoking it
+    touches.
 
-    What preemption needs: every timeline booking the commit made, in
-    booking order, plus the stage/exec bookings singled out so the
-    preemptor can tell "caught mid-staging" from "caught mid-compute".
+    It owns the job's timeline bookings in booking order (the stage and
+    exec bookings singled out, so preemption can tell "caught
+    mid-staging" from "caught mid-compute"), the provisional start
+    (``dispatch``/``resume``) and ``complete`` events it emitted — their
+    timestamps lie in the committed future — and the job's
+    :class:`JobResult`.  It leaves the run in one step: :meth:`revoke`
+    (trial re-book, preemption) or :meth:`abandon` (chaos teardown).
     """
 
     entry: _ReadyEntry
     placement: Placement
     outcome: ExecutionOutcome
+    result: JobResult
     bookings: List[Booking]
     stage_booking: Optional[Booking]  # single-lane stage (non-sharded)
     exec_booking: Optional[Booking]  # single-lane compute (non-sharded)
-    exec_start_s: float
-    finish_s: float
-    batch_id: Optional[int]
     resumed: bool = False
-    # The provisional log events this commitment emitted (timestamps lie in
-    # the committed future).  Revoking the commitment — trial re-book,
-    # preemption, chaos teardown — must retract the stale ones.
-    start_event: Optional[Event] = None  # "dispatch" or "resume"
+    start_event: Optional[Event] = None
     complete_event: Optional[Event] = None
 
+    def in_flight(self, at: float) -> List[Booking]:
+        """The bookings running across ``at`` (started before, ending after)."""
+        return [b for b in self.bookings if b.start_s < at < b.end_s]
 
-@dataclass
-class _DisplacedCollective:
-    """A queued collective pulled off the timeline by the NIC discipline.
+    def revoke(
+        self,
+        state: "_RunState",
+        at: float = -math.inf,
+        *,
+        cut_at: Optional[float] = None,
+    ) -> Optional[float]:
+        """Withdraw everything of this commitment not yet run at ``at``.
 
-    The incumbent's gang (and the barrier reservations pinned to it) have
-    been released; after the overtaking job books its own collective, the
-    incumbent is re-booked from this record — same label, span and
-    duration, same ``queued_from_s`` (its compute drain instant), so the
-    extra delay lands in its ``nic_wait_s`` attribution.
-    """
+        Every booking starting at or after ``at`` is released, and the one
+        booking in flight across ``at`` (if any) is truncated at ``cut_at``
+        (default ``at``).  The default ``at`` withdraws the whole
+        commitment.  The stale ``complete`` event is retracted, and so is
+        the start event unless a booking was cut mid-flight: a real
+        partial run is history, a never-started booking is not.
 
-    committed: _CommittedJob
-    label: str
-    span: Optional[Span]
-    duration_s: float
-    queued_from_s: float
+        All or nothing: returns ``None`` and changes nothing when nothing
+        is left to withdraw, more than one booking is in flight, or a
+        touched lane holds later bookings (releasing would strand them).
+        Otherwise the commitment leaves the run and the busy seconds given
+        back are returned.
+        """
+        future = [b for b in self.bookings if b.start_s >= at]
+        cut = self.in_flight(at)
+        if len(cut) > 1 or not (future or cut):
+            return None
+        by_lane: Dict[str, List[Booking]] = {}
+        for booking in future + cut:
+            by_lane.setdefault(booking.resource, []).append(booking)
+        timeline = state.timeline
+        if not all(
+            timeline.resource(key).is_tail(group) for key, group in by_lane.items()
+        ):
+            return None
+        released = timeline.release(future) if future else 0.0
+        end_s = at if cut_at is None else cut_at
+        for booking in cut:
+            if booking.busy:
+                released += booking.end_s - end_s
+            timeline.truncate(booking, end_s)
+        self._retire(state, work_started=bool(cut))
+        return released
+
+    def abandon(self, state: "_RunState", at: float) -> None:
+        """Drop this commitment after its node failed at ``at``.
+
+        Its bookings stay on the timeline as wasted work; the start event
+        survives only when staging began before the failure.
+        """
+        self._retire(state, work_started=self.result.stage_start_s < at)
+
+    def _retire(self, state: "_RunState", *, work_started: bool) -> None:
+        del state.committed[self.result.job.job_id]
+        if state.events is None:
+            return
+        if self.complete_event is not None:
+            state.events.retract(self.complete_event)
+        if not work_started and self.start_event is not None:
+            state.events.retract(self.start_event)
 
 
 @dataclass
 class _RunState:
-    """The shared timeline of one scheduler run plus its device resources."""
+    """Everything one scheduler run reads and writes."""
 
     timeline: Timeline
     copy: List[Resource]
     compute: List[Resource]
     jobs: List[int]
+    #: Jobs not yet arrived, in arrival order.
+    pending: deque
+    #: Chaos events not yet fired, in firing order.
+    chaos: deque
+    #: Admitted, preprocessed jobs as ``(queue key, entry)``.
+    ready: List[Tuple[Tuple, _ReadyEntry]] = field(default_factory=list)
+    #: Live commitments by job id, in commit order — what the deadline
+    #: policy preempts from and a node failure tears down.
+    committed: Dict[int, _Commitment] = field(default_factory=dict)
+    #: Results of rejected jobs by job id.
+    rejected: Dict[int, JobResult] = field(default_factory=dict)
+    #: encoding key -> simulated time its host build completes, for this
+    #: run only (a fresh run restarts the simulated clock).
+    availability: Dict[Tuple, float] = field(default_factory=dict)
     #: Flat slots / node indices currently down (chaos); new placements
     #: exclude them until the node's recovery event (if any) fires.
     failed_slots: set = field(default_factory=set)
     failed_nodes: set = field(default_factory=set)
-    #: Slots parked by the autoscaler (empty without one).
-    parked_slots: set = field(default_factory=set)
-    #: Per-job booking ledgers of committed runs (keyed by job id) — what
-    #: the deadline policy preempts from.
-    committed: Dict[int, _CommittedJob] = field(default_factory=dict)
+    #: ``(recover_s, node_index, slots)`` for failed nodes that come back.
+    pending_recovery: List[Tuple[float, int, Tuple[int, ...]]] = field(
+        default_factory=list
+    )
+    #: Chaos events that fired, in firing order.
+    fired: List[NodeFailure] = field(default_factory=list)
+    requeue_counts: Dict[int, int] = field(default_factory=dict)
     #: Preemptions performed, in firing order.
     preemption_records: List[PreemptionRecord] = field(default_factory=list)
+    batch_seq: int = 0
+    #: The device-pool autoscaler (``None`` without one), the slots it has
+    #: parked, and how many of its actions the event log has seen.
+    scaler: Optional[Autoscaler] = None
+    parked_slots: set = field(default_factory=set)
+    scale_seen: int = 0
     #: Telemetry sinks of the run (both optional; observation-only).
     metrics: Optional[MetricsRegistry] = None
     events: Optional[EventLog] = None
-    #: The run's NIC queue discipline (``None`` under the default FIFO,
-    #: which keeps the legacy booking path byte-identical).
-    discipline: Optional[NicDiscipline] = None
 
 
 @dataclass
@@ -362,12 +436,9 @@ class Scheduler:
         When set, every run folds its completed jobs' attributed costs in
         (recording is independent of ``adaptive``, which only *consumes*).
     nic_policy:
-        NIC queue discipline for queued collectives (one of
-        :data:`~repro.gpusim.timeline.NIC_POLICIES`).  ``"fifo"`` (the
-        default) keeps arrival order and the legacy booking path;
-        ``"fair"`` / ``"priority"`` may let a queued collective overtake
-        another *queued* (never in-flight) one, when the swap is feasible
-        without disturbing any third job's bookings.
+        One of :data:`~repro.gpusim.timeline.NIC_POLICIES`; it only labels
+        the ``repro_nic_discipline_dispatch_total`` metric.  Collectives
+        always serve in booking order (see the module docstring).
     """
 
     def __init__(
@@ -528,47 +599,33 @@ class Scheduler:
             launch=launch,
         )
 
-    def _admit(
-        self,
-        pending: deque,
-        ready: List[Tuple[Tuple, _ReadyEntry]],
-        clock: float,
-        results: Dict[int, JobResult],
-        availability: Dict[Tuple, float],
-        events: Optional[EventLog] = None,
-    ) -> None:
+    def _admit(self, state: _RunState, clock: float) -> None:
         """Process arrivals up to ``clock``: shed, reject or preprocess."""
-        while pending and pending[0].arrival_s <= clock:
-            job = pending.popleft()
-            if self.max_queue_depth is not None and len(ready) >= self.max_queue_depth:
-                results[job.job_id] = self._rejected(
+        while state.pending and state.pending[0].arrival_s <= clock:
+            job = state.pending.popleft()
+            if (
+                self.max_queue_depth is not None
+                and len(state.ready) >= self.max_queue_depth
+            ):
+                self._reject(
+                    state,
                     job,
                     f"queue full ({self.max_queue_depth} jobs waiting) at arrival",
+                    code="queue_full",
+                    time_s=job.arrival_s,
                 )
-                if events is not None:
-                    events.emit(
-                        "reject",
-                        time_s=job.arrival_s,
-                        job_id=f"job{job.job_id}",
-                        reason="queue_full",
-                    )
                 continue
             geometry = job_geometry(job, threadlen=self.placer.threadlen)
             reason = self.placer.admit(job, geometry)
             if reason is not None:
-                results[job.job_id] = self._rejected(job, reason)
-                if events is not None:
-                    events.emit(
-                        "reject",
-                        time_s=job.arrival_s,
-                        job_id=f"job{job.job_id}",
-                        reason="admission_control",
-                    )
+                self._reject(
+                    state, job, reason, code="admission_control", time_s=job.arrival_s
+                )
                 continue
-            entry = self._preprocess(job, geometry, availability)
-            ready.append((self._queue_key(job), entry))
-            if events is not None:
-                events.emit(
+            entry = self._preprocess(job, geometry, state.availability)
+            state.ready.append((self._queue_key(job), entry))
+            if state.events is not None:
+                state.events.emit(
                     "admit",
                     time_s=job.arrival_s,
                     job_id=f"job{job.job_id}",
@@ -579,8 +636,11 @@ class Scheduler:
                 )
 
     @staticmethod
-    def _rejected(job: Job, reason: str) -> JobResult:
-        return JobResult(
+    def _reject(
+        state: _RunState, job: Job, reason: str, *, code: str, time_s: float
+    ) -> None:
+        """Record ``job`` as rejected and log it under the reason ``code``."""
+        state.rejected[job.job_id] = JobResult(
             job=job,
             status=JobStatus.REJECTED,
             reject_reason=reason,
@@ -588,6 +648,10 @@ class Scheduler:
             exec_start_s=job.arrival_s,
             finish_s=job.arrival_s,
         )
+        if state.events is not None:
+            state.events.emit(
+                "reject", time_s=time_s, job_id=f"job{job.job_id}", reason=code
+            )
 
     def _pop_best_ready(
         self, ready: List[Tuple[Tuple, _ReadyEntry]], t: float
@@ -693,178 +757,168 @@ class Scheduler:
                 for i in range(self.cluster.num_devices)
             ],
             jobs=[0] * self.cluster.num_devices,
+            pending=deque(sorted(jobs, key=lambda j: (j.arrival_s, j.job_id))),
+            chaos=deque(sorted(chaos or (), key=lambda e: (e.time_s, e.node_index))),
             metrics=metrics,
             events=events,
-            # FIFO keeps the legacy path: no discipline object at all, so
-            # the collective booking arithmetic is untouched line for line.
-            discipline=(
-                make_nic_discipline(self.nic_policy)
-                if self.nic_policy != "fifo"
-                else None
-            ),
         )
-        pending = deque(sorted(jobs, key=lambda j: (j.arrival_s, j.job_id)))
-        ready: List[Tuple[Tuple, _ReadyEntry]] = []
-        results: Dict[int, JobResult] = {}
-        #: encoding key -> simulated time its host build completes, for
-        #: this run only (a fresh run restarts the simulated clock).
-        availability: Dict[Tuple, float] = {}
+        if self.autoscale is not None:
+            state.scaler = Autoscaler(self.autoscale, self.placer.scores)
+            state.parked_slots = set(state.scaler.parked)
         clock = timeline.clock
-        batch_seq = 0
-        chaos_events = deque(sorted(chaos or (), key=lambda e: (e.time_s, e.node_index)))
-        #: (recover_s, node_index, slots) for nodes that will come back.
-        pending_recovery: List[Tuple[float, int, Tuple[int, ...]]] = []
-        requeue_counts: Dict[int, int] = {}
-        fired: List[NodeFailure] = []
+        while state.pending or state.ready or state.chaos:
+            self._fire_chaos(state, clock.now_s)
+            self._admit(state, clock.now_s)
+            self._autoscale(state, clock.now_s)
+            if not self._dispatch_next(state):
+                break
+        return self._outcome(state)
 
-        def fire_due(now: float) -> None:
-            """Apply every chaos/recovery event due at ``now``.
+    def _fire_chaos(self, state: _RunState, now: float) -> None:
+        """Apply every chaos/recovery event due at ``now``.
 
-            Recoveries apply first so a node failing and recovering at the
-            same instant nets out failed (the failure is the later event).
-            A failure tears down every committed job overlapping it on a
-            dead slot and re-queues it; the victim's bookings stay on the
-            timeline as wasted work.
-            """
-            pending_recovery.sort()
-            while pending_recovery and pending_recovery[0][0] <= now:
-                recover_at, node, slots = pending_recovery.pop(0)
-                state.failed_nodes.discard(node)
-                state.failed_slots.difference_update(slots)
-                if events is not None:
-                    events.emit(
-                        "node_recovery",
-                        time_s=recover_at,
-                        node=node,
-                        slots=list(slots),
-                    )
-            while chaos_events and chaos_events[0].time_s <= now:
-                event = chaos_events.popleft()
-                slots = self._node_slots(event.node_index)
-                if not slots:
-                    continue  # inapplicable event (node index out of range)
-                fired.append(event)
-                state.failed_nodes.add(event.node_index)
-                state.failed_slots.update(slots)
-                if event.recover_s is not None:
-                    pending_recovery.append((event.recover_s, event.node_index, slots))
-                dead = set(slots)
-                victims = [
-                    r
-                    for r in results.values()
-                    if r.status is JobStatus.COMPLETED
-                    and r.finish_s > event.time_s
-                    and dead & set(r.device_slots)
-                ]
-                if events is not None:
-                    events.emit(
-                        "node_failure",
-                        time_s=event.time_s,
-                        node=event.node_index,
-                        slots=list(slots),
-                        victims=len(victims),
-                    )
-                for victim in victims:
-                    job = victim.job
-                    requeue_counts[job.job_id] = requeue_counts.get(job.job_id, 0) + 1
-                    del results[job.job_id]
-                    ledger = state.committed.pop(job.job_id, None)
-                    if ledger is not None:
-                        # A victim that started before the failure ran real
-                        # (wasted) work; one committed for a post-failure
-                        # start never did — retract its phantom dispatch.
-                        self._revoke_events(
-                            state,
-                            ledger,
-                            work_started=victim.stage_start_s < event.time_s,
-                        )
-                    geometry = job_geometry(job, threadlen=self.placer.threadlen)
-                    entry = self._preprocess(job, geometry, availability)
-                    # Re-admission cannot predate the failure that caused it.
-                    entry.ready_s = max(entry.ready_s, event.time_s)
-                    entry.requeued = True
-                    ready.append((self._queue_key(job), entry))
-                    if events is not None:
-                        events.emit(
-                            "requeue",
-                            time_s=event.time_s,
-                            job_id=f"job{job.job_id}",
-                            node=event.node_index,
-                        )
-
-        scaler = (
-            Autoscaler(self.autoscale, self.placer.scores)
-            if self.autoscale is not None
-            else None
-        )
-        if scaler is not None:
-            state.parked_slots = set(scaler.parked)
-
-        scale_seen = 0
-        while pending or ready or chaos_events:
-            fire_due(clock.now_s)
-            self._admit(pending, ready, clock.now_s, results, availability, events)
-            if scaler is not None:
-                scaler.step(
-                    clock.now_s,
-                    len(ready),
-                    [lane.free_s for lane in state.copy],
-                    [lane.free_s for lane in state.compute],
+        Recoveries apply first so a node failing and recovering at the
+        same instant nets out failed (the failure is the later event).
+        A failure abandons every commitment overlapping it on a dead slot
+        and re-queues its job; the victim's bookings stay on the timeline
+        as wasted work.
+        """
+        events = state.events
+        state.pending_recovery.sort()
+        while state.pending_recovery and state.pending_recovery[0][0] <= now:
+            recover_at, node, slots = state.pending_recovery.pop(0)
+            state.failed_nodes.discard(node)
+            state.failed_slots.difference_update(slots)
+            if events is not None:
+                events.emit(
+                    "node_recovery", time_s=recover_at, node=node, slots=list(slots)
                 )
-                state.parked_slots = set(scaler.parked)
-                if events is not None:
-                    for scale in scaler.events[scale_seen:]:
-                        events.emit(
-                            "scale",
-                            time_s=scale.time_s,
-                            action=scale.action,
-                            slot=scale.slot,
-                            active_devices=scale.active_devices,
-                        )
-                scale_seen = len(scaler.events)
-            upcoming = [
-                t
-                for t in (
-                    pending[0].arrival_s if pending else None,
-                    chaos_events[0].time_s if chaos_events else None,
-                    min(pending_recovery)[0] if pending_recovery else None,
+        while state.chaos and state.chaos[0].time_s <= now:
+            event = state.chaos.popleft()
+            slots = self._node_slots(event.node_index)
+            if not slots:
+                continue  # inapplicable event (node index out of range)
+            state.fired.append(event)
+            state.failed_nodes.add(event.node_index)
+            state.failed_slots.update(slots)
+            if event.recover_s is not None:
+                state.pending_recovery.append(
+                    (event.recover_s, event.node_index, slots)
                 )
-                if t is not None
+            dead = set(slots)
+            victims = [
+                c
+                for c in state.committed.values()
+                if c.result.finish_s > event.time_s
+                and dead & set(c.result.device_slots)
             ]
-            if not ready:
-                if not upcoming:
-                    break
-                clock.advance_to(max(clock.now_s, min(upcoming)))
-                continue
-            # The next staging can begin when some active copy engine frees...
-            active_copy = [
-                lane
-                for slot, lane in enumerate(state.copy)
-                if slot not in state.parked_slots
-            ] or state.copy
-            t = max(clock.now_s, min(lane.free_s for lane in active_copy))
-            # ...but arrivals and chaos/recovery events before that instant
-            # reshape the queue (or the placement pool) first.
-            blocker = min(upcoming, default=math.inf)
-            if blocker <= t:
-                clock.advance_to(max(clock.now_s, blocker))
-                continue
-            entry = self._pop_best_ready(ready, t)
-            if entry is None:
-                # Everyone queued is still preprocessing; advance to the
-                # earliest readiness (or the next arrival/event).
-                next_ready = min(e[1].ready_s for e in ready)
-                clock.advance_to(min(next_ready, blocker))
-                continue
-            clock.advance_to(t)
-            batch_seq = self._dispatch(entry, t, ready, results, state, batch_seq)
+            if events is not None:
+                events.emit(
+                    "node_failure",
+                    time_s=event.time_s,
+                    node=event.node_index,
+                    slots=list(slots),
+                    victims=len(victims),
+                )
+            for victim in victims:
+                job = victim.entry.job
+                state.requeue_counts[job.job_id] = (
+                    state.requeue_counts.get(job.job_id, 0) + 1
+                )
+                victim.abandon(state, event.time_s)
+                geometry = job_geometry(job, threadlen=self.placer.threadlen)
+                entry = self._preprocess(job, geometry, state.availability)
+                # Re-admission cannot predate the failure that caused it.
+                entry.ready_s = max(entry.ready_s, event.time_s)
+                entry.requeued = True
+                state.ready.append((self._queue_key(job), entry))
+                if events is not None:
+                    events.emit(
+                        "requeue",
+                        time_s=event.time_s,
+                        job_id=f"job{job.job_id}",
+                        node=event.node_index,
+                    )
 
+    def _autoscale(self, state: _RunState, now: float) -> None:
+        """Step the autoscaler (if any) against the queue and engine idleness."""
+        scaler = state.scaler
+        if scaler is None:
+            return
+        scaler.step(
+            now,
+            len(state.ready),
+            [lane.free_s for lane in state.copy],
+            [lane.free_s for lane in state.compute],
+        )
+        state.parked_slots = set(scaler.parked)
+        if state.events is not None:
+            for scale in scaler.events[state.scale_seen:]:
+                state.events.emit(
+                    "scale",
+                    time_s=scale.time_s,
+                    action=scale.action,
+                    slot=scale.slot,
+                    active_devices=scale.active_devices,
+                )
+        state.scale_seen = len(scaler.events)
+
+    def _dispatch_next(self, state: _RunState) -> bool:
+        """Dispatch the next stage-ready job, or advance the clock to the
+        next event that reshapes the queue; ``False`` once nothing is left
+        to wait for."""
+        clock = state.timeline.clock
+        upcoming = [
+            t
+            for t in (
+                state.pending[0].arrival_s if state.pending else None,
+                state.chaos[0].time_s if state.chaos else None,
+                min(state.pending_recovery)[0] if state.pending_recovery else None,
+            )
+            if t is not None
+        ]
+        if not state.ready:
+            if not upcoming:
+                return False
+            clock.advance_to(max(clock.now_s, min(upcoming)))
+            return True
+        # The next staging can begin when some active copy engine frees...
+        active_copy = [
+            lane
+            for slot, lane in enumerate(state.copy)
+            if slot not in state.parked_slots
+        ] or state.copy
+        t = max(clock.now_s, min(lane.free_s for lane in active_copy))
+        # ...but arrivals and chaos/recovery events before that instant
+        # reshape the queue (or the placement pool) first.
+        blocker = min(upcoming, default=math.inf)
+        if blocker <= t:
+            clock.advance_to(max(clock.now_s, blocker))
+            return True
+        entry = self._pop_best_ready(state.ready, t)
+        if entry is None:
+            # Everyone queued is still preprocessing; advance to the
+            # earliest readiness (or the next arrival/event).
+            next_ready = min(e[1].ready_s for e in state.ready)
+            clock.advance_to(min(next_ready, blocker))
+            return True
+        clock.advance_to(t)
+        self._dispatch(state, entry, t)
+        return True
+
+    def _outcome(self, state: _RunState) -> ScheduleOutcome:
+        """Fold a finished run's commitments and timeline into its ledger."""
+        results = dict(state.rejected)
+        results.update((jid, c.result) for jid, c in state.committed.items())
+        requeues = state.requeue_counts
         ordered = [
-            replace(results[job_id], requeues=requeue_counts[job_id])
-            if job_id in requeue_counts
+            replace(results[job_id], requeues=requeues[job_id])
+            if job_id in requeues
             else results[job_id]
             for job_id in sorted(results)
         ]
+        timeline = state.timeline
+        metrics = state.metrics
         # Fold the span-tagged trace into the per-job cost breakdown and
         # backfill the attributed fields on every completed result.  The
         # fold reads the timeline; it never writes, so the schedule is
@@ -943,29 +997,19 @@ class Scheduler:
             results=ordered,
             timelines=timelines,
             timeline=timeline,
-            failures=fired,
-            requeued_jobs=sum(requeue_counts.values()),
+            failures=state.fired,
+            requeued_jobs=sum(requeues.values()),
             preemptions=list(state.preemption_records),
-            scale_events=list(scaler.events) if scaler is not None else [],
+            scale_events=list(state.scaler.events) if state.scaler is not None else [],
             attribution=attribution,
         )
 
     # ------------------------------------------------------------------ #
-    def _dispatch(
-        self,
-        entry: _ReadyEntry,
-        t0: float,
-        ready: List[Tuple[Tuple, _ReadyEntry]],
-        results: Dict[int, JobResult],
-        state: _RunState,
-        batch_seq: int,
-    ) -> int:
+    def _dispatch(self, state: _RunState, entry: _ReadyEntry, t0: float) -> None:
         job = entry.job
         geometry = entry.geometry
-        if entry.resume is not None and self._dispatch_resume(
-            entry, t0, results, state
-        ):
-            return batch_seq
+        if entry.resume is not None and self._dispatch_resume(state, entry, t0):
+            return
         placement = self.placer.place(
             job,
             geometry,
@@ -979,11 +1023,11 @@ class Scheduler:
                 placement, block_size=entry.launch[0], threadlen=entry.launch[1]
             )
 
-        mates = [] if placement.sharded else self._pop_batch_mates(ready, job, t0)
+        mates = [] if placement.sharded else self._pop_batch_mates(state.ready, job, t0)
         batch_id: Optional[int] = None
         if mates:
-            batch_id = batch_seq
-            batch_seq += 1
+            batch_id = state.batch_seq
+            state.batch_seq += 1
 
         try:
             outcome = execute_job(
@@ -993,59 +1037,41 @@ class Scheduler:
                 cache=self.cache,
                 num_streams=self.num_streams,
                 metrics=state.metrics,
-                nic_policy=self.nic_policy,
             )
         except OutOfDeviceMemory as exc:
             # The admission estimate is first-order (autotune can raise the
             # threadlen after sizing, and geometry is host arithmetic); a
             # kernel-level capacity failure rejects this one job instead of
             # aborting the whole serving run.
-            results[job.job_id] = self._rejected(
-                job, f"rejected at execution: {exc}"
+            self._reject(
+                state,
+                job,
+                f"rejected at execution: {exc}",
+                code="out_of_device_memory",
+                time_s=t0,
             )
-            if state.events is not None:
-                state.events.emit(
-                    "reject",
-                    time_s=t0,
-                    job_id=f"job{job.job_id}",
-                    reason="out_of_device_memory",
-                )
             for mate in mates:
-                ready.append((self._queue_key(mate.job), mate))
-            return batch_seq
-        result = self._commit(
+                state.ready.append((self._queue_key(mate.job), mate))
+            return
+        own = self._commit(
+            state,
             entry,
             t0,
             placement,
             geometry,
             outcome,
-            state,
             batch_id=batch_id,
             batch_leader=bool(mates),
             encoding_staged=True,
-            results=results,
         )
         if (
             self.policy == "deadline"
             and math.isfinite(job.deadline_s)
-            and result.finish_s > job.deadline_s
+            and own.result.finish_s > job.deadline_s
         ):
             # The deadline job would miss as booked: try to free its lanes
             # by preempting a committed batch job, then re-book.
-            result = self._repreempt_and_recommit(
-                entry,
-                t0,
-                placement,
-                geometry,
-                outcome,
-                state,
-                ready,
-                results,
-                result,
-                batch_id=batch_id,
-                batch_leader=bool(mates),
-            )
-        results[job.job_id] = result
+            self._rescue(state, own, t0, geometry)
 
         for mate in mates:
             # The batch shares the leader's encoding (already staged) and
@@ -1057,21 +1083,18 @@ class Scheduler:
                 cache=self.cache,
                 num_streams=self.num_streams,
                 metrics=state.metrics,
-                nic_policy=self.nic_policy,
             )
-            results[mate.job.job_id] = self._commit(
+            self._commit(
+                state,
                 mate,
                 t0,
                 placement,
                 geometry,
                 mate_outcome,
-                state,
                 batch_id=batch_id,
                 batch_leader=False,
                 encoding_staged=False,
-                results=results,
             )
-        return batch_seq
 
     # ------------------------------------------------------------------ #
     def _staging_seconds(
@@ -1126,18 +1149,17 @@ class Scheduler:
 
     def _commit(
         self,
+        state: _RunState,
         entry: _ReadyEntry,
         t0: float,
         placement: Placement,
         geometry: JobGeometry,
         outcome: ExecutionOutcome,
-        state: _RunState,
         *,
         batch_id: Optional[int],
         batch_leader: bool,
         encoding_staged: bool,
-        results: Optional[Dict[int, JobResult]] = None,
-    ) -> JobResult:
+    ) -> _Commitment:
         """Book one executed job onto the shared timeline.
 
         Staging gang-books the placement's copy engines, execution books
@@ -1247,18 +1269,6 @@ class Scheduler:
         if reduction_s > 0.0 and placement.cluster is not None:
             compute_end = exec_start + compute_span
             resources = placement.cluster.collective_resources(state.timeline)
-            displaced: Optional[_DisplacedCollective] = None
-            request: Optional[CollectiveRequest] = None
-            if state.discipline is not None:
-                request = CollectiveRequest(
-                    job_id=job.job_id,
-                    duration_s=reduction_s,
-                    priority=job.priority,
-                    has_deadline=math.isfinite(job.deadline_s),
-                )
-                displaced = self._displace_collective(
-                    state, resources, compute_end, request
-                )
             red_start = compute_end
             for resource in resources:
                 red_start = max(red_start, resource.free_s)
@@ -1278,11 +1288,6 @@ class Scheduler:
                 queued_from_s=compute_end,
             )
             tracked.extend(collective.bookings)
-            if state.discipline is not None and request is not None:
-                state.discipline.note_dispatch(request)
-            if displaced is not None:
-                # Put the overtaken collective back, now behind ours.
-                self._rebook_displaced(state, results, displaced)
         # Hold every participating compute engine to the job's completion
         # (the devices take part in the collective; nothing else may slot in).
         for lane in compute_lanes:
@@ -1295,52 +1300,20 @@ class Scheduler:
                         busy=False,
                     )
                 )
-        for slot in slots:
-            state.jobs[slot] += 1
 
-        start_event = complete_event = None
-        if state.events is not None:
-            detail: Dict[str, object] = dict(
-                time_s=stage_start,
-                job_id=tag,
-                slots=list(slots),
-                execution=outcome.execution,
-                batch_id=batch_id,
-            )
-            rationale = self.placer.last_rationale
-            if self.adaptive and rationale is not None:
-                # Placement rationale (record-only): the chosen slot's
-                # blended score, the static roofline score it would have
-                # had, and the observed congestion folded in.  Emitted only
-                # on adaptive runs, so static event logs are byte-identical
-                # to earlier releases.
-                detail["blended_score_s"] = rationale["blended_score_s"]
-                detail["static_score_s"] = rationale["static_score_s"]
-                detail["observed_congestion_s"] = rationale[
-                    "observed_congestion_s"
-                ]
-            start_event = state.events.emit("dispatch", **detail)
-            complete_event = state.events.emit(
-                "complete",
-                time_s=finish,
-                job_id=tag,
-                execution=outcome.execution,
-                exec_s=outcome.exec_s,
-            )
-        state.committed[job.job_id] = _CommittedJob(
-            entry=entry,
-            placement=placement,
-            outcome=outcome,
-            bookings=tracked,
-            stage_booking=stage.bookings[0] if len(stage.bookings) == 1 else None,
-            exec_booking=exec_bookings[0] if len(exec_bookings) == 1 else None,
-            exec_start_s=exec_start,
-            finish_s=finish,
-            batch_id=batch_id,
-            start_event=start_event,
-            complete_event=complete_event,
+        detail: Dict[str, object] = dict(
+            slots=list(slots), execution=outcome.execution, batch_id=batch_id
         )
-        return JobResult(
+        rationale = self.placer.last_rationale
+        if self.adaptive and rationale is not None:
+            # Placement rationale (record-only): the chosen slot's blended
+            # score, the static roofline score it would have had, and the
+            # observed congestion folded in.  Emitted only on adaptive
+            # runs, so static event logs are byte-identical to earlier
+            # releases.
+            for key in ("blended_score_s", "static_score_s", "observed_congestion_s"):
+                detail[key] = rationale[key]
+        result = JobResult(
             job=job,
             status=JobStatus.COMPLETED,
             output=outcome.output,
@@ -1366,268 +1339,92 @@ class Scheduler:
                 else 0.0
             ),
         )
-
-    # ------------------------------------------------------------------ #
-    # NIC queue disciplines (nic_policy="fair" / "priority")
-    # ------------------------------------------------------------------ #
-    def _displace_collective(
-        self,
-        state: _RunState,
-        resources: Sequence[Resource],
-        compute_end: float,
-        request: CollectiveRequest,
-    ) -> Optional[_DisplacedCollective]:
-        """Pull the queued collective ahead of ours off the NIC, if the
-        discipline says we overtake it and the surgery is feasible.
-
-        Strictly best-effort, with every guard erring toward "do nothing"
-        (which keeps the FIFO order and is always sound):
-
-        * the newest booking on *every* contended link/NIC resource must
-          belong to one gang — one committed job's collective — that has
-          not started by the time our compute drains (a collective in
-          flight is never reordered);
-        * the discipline must rank our request *strictly* ahead of the
-          incumbent's (ties keep arrival order, so the schedule stays
-          deterministic);
-        * the incumbent's gang bookings and the ``barrier:`` reservations
-          pinned to its finish must all be tail bookings of their lanes —
-          releasing them must not strand any third job's bookings.
-
-        On success the incumbent's gang and barriers are *released* (its
-        result/ledger updated by :meth:`_rebook_displaced` after the caller
-        books its own collective into the freed window) and the released
-        ledger is returned; any failed guard returns ``None``.
-        """
-        discipline = state.discipline
-        if discipline is None:
-            return None
-        tails = [r.last_booking for r in resources]
-        if not tails or any(b is None for b in tails):
-            return None
-        first = tails[0]
-        if (
-            first.span is None
-            or first.span.phase != "collective"
-            or any(b.label != first.label for b in tails)
-            or len({(b.start_s, b.end_s) for b in tails}) != 1
-        ):
-            return None
-        if first.start_s < compute_end:
-            return None  # already in flight when our collective is ready
-        inc_tag = first.span.job_id
-        if not inc_tag.startswith("job"):
-            return None
-        try:
-            inc_id = int(inc_tag[3:])
-        except ValueError:
-            return None
-        if inc_id == request.job_id:
-            return None
-        inc = state.committed.get(inc_id)
-        if inc is None:
-            return None
-        inc_job = inc.entry.job
-        incumbent = CollectiveRequest(
-            job_id=inc_id,
-            duration_s=first.end_s - first.start_s,
-            priority=inc_job.priority,
-            has_deadline=math.isfinite(inc_job.deadline_s),
+        commitment = _Commitment(
+            entry=entry,
+            placement=placement,
+            outcome=outcome,
+            result=result,
+            bookings=tracked,
+            stage_booking=stage.bookings[0] if len(stage.bookings) == 1 else None,
+            exec_booking=exec_bookings[0] if len(exec_bookings) == 1 else None,
         )
-        if not discipline.precedes(request, incumbent):
-            return None
-        gang = [b for b in inc.bookings if b.label == first.label]
-        if {id(b) for b in gang} != {id(b) for b in tails}:
-            return None  # the tails are not exactly the incumbent's gang
-        barriers = [
-            b for b in inc.bookings if b.label == f"barrier:{inc_tag}"
-        ]
-        lanes: Dict[str, Resource] = {r.key: r for r in resources}
-        for slot in inc.placement.device_slots:
-            lane = state.compute[slot]
-            lanes[lane.key] = lane
-        to_release = gang + barriers
-        by_lane: Dict[str, List[Booking]] = {}
-        for booking in to_release:
-            by_lane.setdefault(booking.resource, []).append(booking)
-        for key, group in by_lane.items():
-            lane = lanes.get(key)
-            if lane is None or not lane.is_tail(group):
-                return None
-        state.timeline.release(to_release)
-        removed = {id(b) for b in to_release}
-        inc.bookings = [b for b in inc.bookings if id(b) not in removed]
-        if state.events is not None:
-            state.events.emit(
-                "nic_reorder",
-                time_s=compute_end,
-                job_id=f"job{request.job_id}",
-                displaced=inc_tag,
-                policy=discipline.policy,
-            )
-        return _DisplacedCollective(
-            committed=inc,
-            label=first.label,
-            span=first.span,
-            duration_s=incumbent.duration_s,
-            queued_from_s=first.ready_s,
-        )
+        return self._register(state, commitment, "dispatch", **detail)
 
-    def _rebook_displaced(
-        self,
-        state: _RunState,
-        results: Optional[Dict[int, JobResult]],
-        disp: _DisplacedCollective,
-    ) -> None:
-        """Re-book a displaced incumbent's collective behind the overtaker.
-
-        Same label, span, duration and ``queued_from_s`` as the released
-        gang — only the start moves (to the overtaking collective's end),
-        so the added delay lands in the incumbent's ``nic_wait_s``.  The
-        barrier reservations holding its compute lanes are re-extended to
-        the new finish, and its ledger, result and provisional ``complete``
-        event are updated in place.
-        """
-        inc = disp.committed
-        gang = state.timeline.book_together(
-            inc.placement.cluster.collective_resources(state.timeline),
-            disp.duration_s,
-            ready_s=disp.queued_from_s,
-            label=disp.label,
-            span=disp.span,
-            queued_from_s=disp.queued_from_s,
-        )
-        inc.bookings.extend(gang.bookings)
-        finish = gang.end_s
-        inc_tag = f"job{inc.entry.job.job_id}"
-        for slot in inc.placement.device_slots:
-            lane = state.compute[slot]
-            if finish > lane.free_s:
-                inc.bookings.append(
-                    lane.book(
-                        finish - lane.free_s,
-                        ready_s=lane.free_s,
-                        label=f"barrier:{inc_tag}",
-                        busy=False,
-                    )
-                )
-        inc.finish_s = finish
-        jid = inc.entry.job.job_id
-        if results is not None and jid in results:
-            results[jid] = replace(results[jid], finish_s=finish)
-        if state.events is not None and inc.complete_event is not None:
-            state.events.retract(inc.complete_event)
-            inc.complete_event = state.events.emit(
-                "complete",
-                time_s=finish,
-                job_id=inc_tag,
-                execution=inc.outcome.execution,
-                exec_s=inc.outcome.exec_s,
-            )
-
-    # ------------------------------------------------------------------ #
     @staticmethod
-    def _revoke_events(
-        state: _RunState, committed: _CommittedJob, *, work_started: bool
-    ) -> None:
-        """Retract a revoked commitment's provisional log events.
-
-        The stale ``complete`` always goes (the job did not finish as
-        booked); the ``dispatch``/``resume`` start marker stays only when
-        device work genuinely began before the revocation — a real partial
-        run is history, a never-started booking is not.
-        """
-        if state.events is None:
-            return
-        if committed.complete_event is not None:
-            state.events.retract(committed.complete_event)
-        if not work_started and committed.start_event is not None:
-            state.events.retract(committed.start_event)
+    def _register(
+        state: _RunState, commitment: _Commitment, start_kind: str, **detail: object
+    ) -> _Commitment:
+        """The shared tail of a dispatch and a resume: emit the provisional
+        start and ``complete`` events, count the job on its slots, and make
+        the commitment live."""
+        result = commitment.result
+        tag = f"job{result.job.job_id}"
+        for slot in result.device_slots:
+            state.jobs[slot] += 1
+        if state.events is not None:
+            commitment.start_event = state.events.emit(
+                start_kind, time_s=result.stage_start_s, job_id=tag, **detail
+            )
+            commitment.complete_event = state.events.emit(
+                "complete",
+                time_s=result.finish_s,
+                job_id=tag,
+                execution=result.execution,
+                exec_s=result.exec_s,
+            )
+        state.committed[result.job.job_id] = commitment
+        return commitment
 
     # ------------------------------------------------------------------ #
     # Preemption (policy="deadline")
     # ------------------------------------------------------------------ #
-    def _repreempt_and_recommit(
-        self,
-        entry: _ReadyEntry,
-        t0: float,
-        placement: Placement,
-        geometry: JobGeometry,
-        outcome: ExecutionOutcome,
-        state: _RunState,
-        ready: List[Tuple[Tuple, _ReadyEntry]],
-        results: Dict[int, JobResult],
-        first_result: JobResult,
-        *,
-        batch_id: Optional[int],
-        batch_leader: bool,
-    ) -> JobResult:
+    def _rescue(
+        self, state: _RunState, own: _Commitment, t0: float, geometry: JobGeometry
+    ) -> None:
         """Try to rescue a deadline job that would miss as first booked.
 
-        The job's own (just-made) bookings are released, one committed
-        batch victim sharing its device slots is preempted, and the job is
-        re-committed onto the freed lanes.  When no victim qualifies (or
-        none is releasable) the release/re-commit round-trips to the exact
-        original booking — :meth:`~repro.gpusim.timeline.Timeline.release`
-        restores every lane horizon, so the re-booked times are identical.
+        The job's own (just-made) commitment is revoked whole, one
+        committed batch victim sharing its device slots is preempted, and
+        the job is re-committed onto the freed lanes.  When no victim can
+        be preempted the re-commit round-trips to the exact original
+        booking — :meth:`~repro.gpusim.timeline.Timeline.release` restores
+        every lane horizon, so the re-booked times are identical.
         """
-        job = entry.job
-        own = state.committed.pop(job.job_id)
+        slots = set(own.placement.device_slots)
         candidates = sorted(
             (
                 c
-                for jid, c in state.committed.items()
-                if jid in results
-                and c.finish_s > t0
-                and c.batch_id is None
+                for c in state.committed.values()
+                if c is not own
+                and c.result.finish_s > t0
+                and c.result.batch_id is None
                 and not c.resumed
                 and c.entry.job.preemptible
                 and not math.isfinite(c.entry.job.deadline_s)
-                and set(c.placement.device_slots) & set(placement.device_slots)
+                and slots & set(c.placement.device_slots)
             ),
             # Latest-finishing victim first: it holds the most future time.
-            key=lambda c: (-c.finish_s, c.entry.job.job_id),
+            key=lambda c: (-c.result.finish_s, c.entry.job.job_id),
         )
-        if candidates:
-            try:
-                state.timeline.release(own.bookings)
-            except ValueError:
-                # A non-FIFO NIC discipline may have re-booked a displaced
-                # incumbent *behind* this job's collective, so the trial
-                # booking is no longer the tail of its lanes.  Release
-                # verifies before mutating, so nothing moved — keep the
-                # first booking instead of attempting the rescue.
-                state.committed[job.job_id] = own
-                return first_result
-            # The trial booking is fully revoked (nothing ran yet — this
-            # all happens at dispatch time); the re-commit re-emits.
-            self._revoke_events(state, own, work_started=False)
-            for cand in candidates:
-                if self._preempt_victim(cand, t0, job, state, ready, results):
-                    break
-            return self._commit(
-                entry,
-                t0,
-                placement,
-                geometry,
-                outcome,
-                state,
-                batch_id=batch_id,
-                batch_leader=batch_leader,
-                encoding_staged=True,
-                results=results,
-            )
-        state.committed[job.job_id] = own
-        return first_result
+        if not candidates or own.revoke(state) is None:
+            return
+        for cand in candidates:
+            if self._preempt_victim(state, cand, t0, own.entry.job):
+                break
+        self._commit(
+            state,
+            own.entry,
+            t0,
+            own.placement,
+            geometry,
+            own.outcome,
+            batch_id=own.result.batch_id,
+            batch_leader=own.result.batch_leader,
+            encoding_staged=True,
+        )
 
     def _preempt_victim(
-        self,
-        cand: _CommittedJob,
-        t: float,
-        by: Job,
-        state: _RunState,
-        ready: List[Tuple[Tuple, _ReadyEntry]],
-        results: Dict[int, JobResult],
+        self, state: _RunState, cand: _Commitment, t: float, by: Job
     ) -> bool:
         """Preempt one committed job at ``t``; ``False`` leaves it untouched.
 
@@ -1643,43 +1440,26 @@ class Scheduler:
           with a resume ledger (completed chunks stand; the remaining
           chunks' pipeline re-books at resume, plus a factor re-stage).
 
-        Every mutation is pre-verified against
-        :meth:`~repro.gpusim.timeline.Resource.is_tail`, so a victim whose
-        lanes have later bookings (e.g. behind another job's barrier) is
-        simply not preemptible rather than corrupting the timeline.
+        The cut itself is :meth:`_Commitment.revoke`, which refuses (and
+        changes nothing) when a victim's lanes hold later bookings, e.g.
+        behind another job's barrier.
         """
         victim = cand.entry.job
-        timeline = state.timeline
-        lanes: Dict[str, Resource] = {}
-        for slot in cand.placement.device_slots:
-            for lane in (state.copy[slot], state.compute[slot]):
-                lanes[lane.key] = lane
-        if cand.placement.cluster is not None:
-            for lane in cand.placement.cluster.collective_resources(timeline):
-                lanes[lane.key] = lane
-        if any(b.resource not in lanes for b in cand.bookings):
-            return False  # defensive: a booking on a lane we cannot verify
-
-        future = [b for b in cand.bookings if b.start_s >= t]
-        straddle = [b for b in cand.bookings if b.start_s < t < b.end_s]
-        if len(straddle) > 1 or (not future and not straddle):
-            return False
-
         streaming = getattr(cand.outcome.profile, "streaming", None)
         boundary = t
         completed = 0
         total = streaming.num_chunks if streaming is not None else 0
         resume: Optional[_ResumeState] = None
-        cut: Optional[Booking] = None
-        if straddle:
-            cut = straddle[0]
+        flying = cand.in_flight(t)
+        if flying:
+            cut = flying[0]
             if (
                 cut is cand.exec_booking
                 and streaming is not None
                 and not cand.placement.sharded
             ):
                 sched = streaming.schedule
-                exec_start = cand.exec_start_s
+                exec_start = cand.result.exec_start_s
                 idx = next(
                     (
                         i
@@ -1708,47 +1488,29 @@ class Scheduler:
                         / cand.placement.primary_device.pcie_bandwidth_bytes_per_s
                     ),
                 )
-            elif cut is cand.stage_booking:
-                boundary = t  # staging interrupted: full restart later
-            else:
+            elif cut is not cand.stage_booking:
                 return False
-
-        # Pre-verify releasability on every touched lane before mutating.
-        by_lane: Dict[str, List[Booking]] = {}
-        for booking in future:
-            by_lane.setdefault(booking.resource, []).append(booking)
-        for key, group in by_lane.items():
-            check = list(group)
-            if cut is not None and cut.resource == key:
-                check.append(cut)
-            if not lanes[key].is_tail(check):
-                return False
-        if cut is not None and cut.resource not in by_lane:
-            if lanes[cut.resource].last_booking is not cut:
-                return False
-
-        released = timeline.release(future) if future else 0.0
-        if cut is not None:
-            if cut.busy:
-                released += cut.end_s - boundary
-            timeline.truncate(cut, boundary)
+        released = cand.revoke(state, t, cut_at=boundary)
+        if released is None:
+            return False
 
         entry = cand.entry
         entry.ready_s = max(entry.ready_s, boundary)
         entry.preemptions += 1
         entry.preempted_from_s = boundary
         entry.resume = resume
-        ready.append((self._queue_key(victim), entry))
-        record = PreemptionRecord(
-            job_id=victim.job_id,
-            preempted_by=by.job_id,
-            time_s=boundary,
-            completed_chunks=completed,
-            total_chunks=total,
-            released_s=released,
-            resume_stage_s=resume.resume_stage_s if resume is not None else 0.0,
+        state.ready.append((self._queue_key(victim), entry))
+        state.preemption_records.append(
+            PreemptionRecord(
+                job_id=victim.job_id,
+                preempted_by=by.job_id,
+                time_s=boundary,
+                completed_chunks=completed,
+                total_chunks=total,
+                released_s=released,
+                resume_stage_s=resume.resume_stage_s if resume is not None else 0.0,
+            )
         )
-        state.preemption_records.append(record)
         if state.events is not None:
             state.events.emit(
                 "preempt",
@@ -1759,19 +1521,10 @@ class Scheduler:
                 total_chunks=total,
                 released_s=released,
             )
-        # ``straddle`` means staging or compute was genuinely cut mid-flight
-        # (the dispatch stands as history); a full release never started.
-        self._revoke_events(state, cand, work_started=bool(straddle))
-        del results[victim.job_id]
-        del state.committed[victim.job_id]
         return True
 
     def _dispatch_resume(
-        self,
-        entry: _ReadyEntry,
-        t0: float,
-        results: Dict[int, JobResult],
-        state: _RunState,
+        self, state: _RunState, entry: _ReadyEntry, t0: float
     ) -> bool:
         """Re-book a preempted streamed job's remaining work.
 
@@ -1793,10 +1546,9 @@ class Scheduler:
             entry.resume = None
             return False
         tag = f"job{job.job_id}"
-        copy_lanes = [state.copy[s] for s in slots]
         compute_lanes = [state.compute[s] for s in slots]
         stage = state.timeline.book_together(
-            copy_lanes,
+            [state.copy[s] for s in slots],
             rs.resume_stage_s,
             ready_s=max(t0, entry.ready_s),
             label=f"resume-stage:{tag}",
@@ -1815,40 +1567,7 @@ class Scheduler:
                 span=Span(tag, kernel=job.kind.value, phase="resume"),
             )
             tracked.append(exec_booking)
-        finish = exec_start + rs.remaining_exec_s
-        start_event = complete_event = None
-        if state.events is not None:
-            start_event = state.events.emit(
-                "resume",
-                time_s=stage.start_s,
-                job_id=tag,
-                completed_chunks=rs.completed_chunks,
-                total_chunks=rs.total_chunks,
-            )
-            complete_event = state.events.emit(
-                "complete",
-                time_s=finish,
-                job_id=tag,
-                execution=rs.outcome.execution,
-                exec_s=rs.outcome.exec_s,
-            )
-        state.committed[job.job_id] = _CommittedJob(
-            entry=entry,
-            placement=placement,
-            outcome=rs.outcome,
-            bookings=tracked,
-            stage_booking=stage.bookings[0] if len(stage.bookings) == 1 else None,
-            exec_booking=exec_booking,
-            exec_start_s=exec_start,
-            finish_s=finish,
-            batch_id=None,
-            resumed=True,
-            start_event=start_event,
-            complete_event=complete_event,
-        )
-        for slot in slots:
-            state.jobs[slot] += 1
-        results[job.job_id] = JobResult(
+        result = JobResult(
             job=job,
             status=JobStatus.COMPLETED,
             output=rs.outcome.output,
@@ -1861,11 +1580,28 @@ class Scheduler:
             exec_s=rs.outcome.exec_s,
             stage_start_s=stage.start_s,
             exec_start_s=exec_start,
-            finish_s=finish,
+            finish_s=exec_start + rs.remaining_exec_s,
             block_size=placement.block_size,
             threadlen=placement.threadlen,
             placement=placement,
             preemptions=entry.preemptions,
             preempted_s=max(0.0, exec_start - entry.preempted_from_s),
+        )
+        commitment = _Commitment(
+            entry=entry,
+            placement=placement,
+            outcome=rs.outcome,
+            result=result,
+            bookings=tracked,
+            stage_booking=stage.bookings[0] if len(stage.bookings) == 1 else None,
+            exec_booking=exec_booking,
+            resumed=True,
+        )
+        self._register(
+            state,
+            commitment,
+            "resume",
+            completed_chunks=rs.completed_chunks,
+            total_chunks=rs.total_chunks,
         )
         return True

@@ -111,10 +111,17 @@ class TestMultiNodeModel:
         with pytest.raises(ValueError):
             MultiNodeClusterSpec(
                 nodes=(
-                    NodeSpec(devices=(fast,)),
-                    NodeSpec(devices=(slow,)),
+                    NodeSpec(devices=(fast,), name="n0"),
+                    NodeSpec(devices=(slow,), name="n1"),
                 )
             )
+
+    def test_duplicate_node_names_rejected(self):
+        """Link and NIC resources are keyed by node name, so two nodes
+        sharing one would silently share one link and one NIC."""
+        node = NodeSpec.homogeneous(TITAN_X, 2, name="twin")
+        with pytest.raises(ValueError, match="node names must be unique"):
+            MultiNodeClusterSpec(nodes=(node, node))
 
     def test_node_as_cluster_round_trip(self):
         node = NodeSpec.homogeneous(TITAN_X, 3, interconnect=NVLINK1, name="n0")
@@ -141,7 +148,10 @@ class TestMultiNodeModel:
         big = scaled_device(TITAN_X, 1.0, name_suffix="mn-big")
         small = scaled_device(TITAN_X, 1.0, bandwidth_scale=0.5, name_suffix="mn-small")
         cluster = MultiNodeClusterSpec(
-            nodes=(NodeSpec(devices=(big, big)), NodeSpec(devices=(small, small)))
+            nodes=(
+                NodeSpec(devices=(big, big), name="n0"),
+                NodeSpec(devices=(small, small), name="n1"),
+            )
         )
         weights = cluster.capability_weights()
         node_weights = cluster.node_capability_weights()
@@ -279,7 +289,10 @@ class TestHierarchicalCollectives:
             TITAN_X, 1.0, bandwidth_scale=1e-6, name_suffix="mn-feeble"
         )
         cluster = MultiNodeClusterSpec(
-            nodes=(NodeSpec(devices=(big,)), NodeSpec(devices=(feeble, big))),
+            nodes=(
+                NodeSpec(devices=(big,), name="n0"),
+                NodeSpec(devices=(feeble, big), name="n1"),
+            ),
             nic=ETHERNET_10G,
         )
         tensor = CASES["single-segment"]()  # one fiber: every boundary carries
@@ -323,7 +336,10 @@ class TestHierarchicalPartition:
         big = scaled_device(TITAN_X, 1.0, name_suffix="mn-big")
         small = scaled_device(TITAN_X, 1.0, bandwidth_scale=0.5, name_suffix="mn-small")
         cluster = MultiNodeClusterSpec(
-            nodes=(NodeSpec(devices=(big, big)), NodeSpec(devices=(small, small)))
+            nodes=(
+                NodeSpec(devices=(big, big), name="n0"),
+                NodeSpec(devices=(small, small), name="n1"),
+            )
         )
         tensor = random_sparse_tensor((40, 60, 50), 3000, seed=0)
         fcoo = FCOOTensor.from_sparse(tensor, "spmttkrp", 0)
@@ -412,8 +428,8 @@ class TestMultiNodeEqualsOneShot:
         tiny = scaled_device(TITAN_X, 3.2e-7, name_suffix="tiny")
         cluster = MultiNodeClusterSpec(
             nodes=(
-                NodeSpec.homogeneous(tiny, 1),
-                NodeSpec.homogeneous(tiny, 1),
+                NodeSpec.homogeneous(tiny, 1, name="n0"),
+                NodeSpec.homogeneous(tiny, 1, name="n1"),
             ),
             nic=ETHERNET_10G,
         )
@@ -545,7 +561,10 @@ class TestNodeAwarePlacement:
         """With two equally capable nodes, load breaks the locality tie."""
         big = scaled_device(TITAN_X, 2.0e-5, name_suffix="serve big")
         cluster = MultiNodeClusterSpec(
-            nodes=(NodeSpec(devices=(big, big)), NodeSpec(devices=(big, big))),
+            nodes=(
+                NodeSpec(devices=(big, big), name="n0"),
+                NodeSpec(devices=(big, big), name="n1"),
+            ),
             nic=SERVE_NIC,
         )
         placer = Placer(cluster)

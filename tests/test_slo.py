@@ -274,6 +274,58 @@ class TestPreemption:
             assert victim.preemptible and victim.slo is None
 
 
+class TestCrossFeatureRevocation:
+    """Deadline preemption, a chaos node loss, the adaptive hedge and a
+    non-FIFO NIC policy label in one run (perfbench's ``serve_multinode``
+    configuration): every revoked commitment must leave the run's ledgers
+    consistent."""
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_revocations_keep_ledgers_consistent(self, seed):
+        from repro.bench.serving import DEFAULT_CROSS_NODE_EVERY
+        from repro.serve.workload import (
+            ChaosSpec,
+            default_multinode_serving_cluster,
+            generate_chaos,
+        )
+
+        jobs = generate_workload(
+            WorkloadSpec(
+                num_jobs=60,
+                seed=seed,
+                cross_node_every=DEFAULT_CROSS_NODE_EVERY,
+                latency_slo_fraction=0.3,
+            )
+        )
+        window_s = max(j.arrival_s for j in jobs)
+        chaos = generate_chaos(
+            ChaosSpec(seed=seed + 1, num_failures=1, window_s=window_s), num_nodes=2
+        )
+        report = ServingEngine(
+            default_multinode_serving_cluster(2),
+            policy="deadline",
+            autotune=True,
+            adaptive=True,
+            nic_policy="fair",
+        ).run(jobs, chaos=chaos)
+
+        terminal = {}
+        for event in report.events.events:
+            if event.kind in ("complete", "reject"):
+                terminal.setdefault(event.job_id, []).append(event)
+        assert sorted(terminal) == sorted(f"job{j.job_id}" for j in jobs)
+        assert all(len(events) == 1 for events in terminal.values())
+        for result in report.results:
+            (event,) = terminal[f"job{result.job.job_id}"]
+            if result.completed:
+                assert event.kind == "complete"
+                assert event.time_s == result.finish_s
+        assert report.timeline.violations() == {}
+        assert report.attribution.gap_count == 0
+        counts = report.events.counts()
+        assert counts.get("preempt", 0) > 0 and counts.get("requeue", 0) > 0
+
+
 class TestDeadlineDegeneracy:
     def test_no_slo_workload_is_bit_identical_to_priority_policy(self):
         jobs = generate_workload(WorkloadSpec(num_jobs=40, seed=7))
